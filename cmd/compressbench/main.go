@@ -14,6 +14,7 @@
 //	compressbench -ds [-max-out N] input.pbs output      (decode a stream)
 //	compressbench -index input.pbs                       (trailer report)
 //	compressbench -range off:len [-max-out N] input.pbs output
+//	compressbench -workers-sweep [-codecs ...] [-sweep-bytes N] [file ...]
 package main
 
 import (
@@ -64,8 +65,7 @@ func run(args []string, stdout io.Writer) error {
 	indexFlag := fs.Bool("index", false, "report the seek-index trailer of a stream: chunks, layout, overhead")
 	rangeSpec := fs.String("range", "", "decode only the window off:len of an indexed stream (e.g. -range 65536:4096)")
 	workersSweep := fs.Bool("workers-sweep", false,
-		"measure per-core scaling curves (codec x direction x workers 1,2,4,8) over the input files (or a synthetic field) and emit a BENCH JSON report instead of the ratio table")
-	sweepOut := fs.String("sweep-json", "", "write the -workers-sweep report to this path instead of stdout")
+		"measure per-core scaling curves (codec x direction x workers 1,2,4,8) over the input files (or a synthetic field), emit them as JSON instead of the ratio table, and fail if parallel falls below serial on any row")
 	sweepBytes := fs.Int("sweep-bytes", 0, "synthetic input size for -workers-sweep when no files are given (0 = 4 MiB)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 		return runFramed(*zName, *dFlag, *maxOut, files, stdout)
 	}
 	if *workersSweep {
-		return runSweep(*names, *sweepOut, *sweepBytes, files, stdout)
+		return runSweep(*names, *sweepBytes, files, stdout)
 	}
 	if len(files) == 0 {
 		return fmt.Errorf("need at least one input file")
@@ -262,12 +262,17 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runSweep implements -workers-sweep: per-core scaling curves in the
-// BENCH_compress.json schema, shared with `make bench-scaling` through
-// internal/sweep so the CLI and the CI gate measure identically. Input
-// files are concatenated into the benchmark payload; with no files a
-// synthetic smooth float field stands in.
-func runSweep(names, outPath string, sweepBytes int, files []string, stdout io.Writer) error {
+// scalingTolPct is how far parallel throughput may fall below serial on
+// any -workers-sweep row before the run fails (sweep.CheckScaling widens
+// it on a 1-CPU machine).
+const scalingTolPct = 10
+
+// runSweep implements -workers-sweep, which `make bench-scaling` runs as
+// the CI gate: it prints the per-core scaling report, then fails if any
+// row breaks sweep.CheckScaling. Input files are concatenated into the
+// benchmark payload; with no files a synthetic smooth float field stands
+// in.
+func runSweep(names string, sweepBytes int, files []string, stdout io.Writer) error {
 	var codecs []compress.Codec
 	for _, n := range strings.Split(names, ",") {
 		n = strings.TrimSpace(n)
@@ -292,16 +297,25 @@ func runSweep(names, outPath string, sweepBytes int, files []string, stdout io.W
 	if err != nil {
 		return err
 	}
-	if outPath != "" {
-		return stats.WriteBenchJSON(outPath, rep)
-	}
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	blob = append(blob, '\n')
-	_, err = stdout.Write(blob)
-	return err
+	if _, err := stdout.Write(blob); err != nil {
+		return err
+	}
+	return checkScaling(rep)
+}
+
+// checkScaling turns the report's scaling check into an error that lists
+// every failing row, one per line.
+func checkScaling(rep *sweep.BenchReport) error {
+	probs := sweep.CheckScaling(rep, scalingTolPct)
+	if len(probs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d scaling check(s) failed:\n  %s", len(probs), strings.Join(probs, "\n  "))
 }
 
 // runFramed implements the -z / -d single-file modes over the container

@@ -58,10 +58,10 @@ func TestFreshInstances(t *testing.T) {
 	}
 }
 
-// The light-decoder hint drives the 1-CPU serial fallback, so its per-codec
-// policy is part of the registry contract: byte-copy/table-lookup decoders
-// are light, entropy-heavy ones are not, and the container frame forwards
-// the inner codec's answer.
+// The light-decoder hint is published as light_decoder on /v1/codecs (no
+// engine path reads it), so its per-codec policy is part of the registry
+// contract: byte-copy/table-lookup decoders are light, entropy-heavy ones
+// are not, and the container frame forwards the inner codec's answer.
 func TestLightDecoderPolicy(t *testing.T) {
 	want := map[string]bool{
 		"bzip2": false, "gzip": false, "xz": false,

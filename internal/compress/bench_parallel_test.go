@@ -2,119 +2,30 @@ package compress_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
-	"positbench/internal/stats"
+	"positbench/internal/sweep"
 )
 
-// Serial-vs-parallel throughput regression benchmarks. Run via `make bench`,
-// which passes -bench-json so the run leaves a diffable BENCH_compress.json
-// behind; plain `go test -bench` works too and just skips the report.
-// Speedups are relative to GOMAXPROCS on the measuring machine — the report
-// records it so a ~1.0x result on a 1-CPU runner is not misread as a
-// regression.
+// Serial-vs-parallel stream benchmarks over every registry codec, on the
+// sweep package's synthetic float field. `make bench-smoke` races one pass
+// of them on a small input; speed claims come from the perfbench module
+// and the per-core gate from `make bench-scaling`.
 
-var (
-	benchJSONPath = flag.String("bench-json", "", "write a BENCH_compress.json report to this path after the run")
-	benchWorkers  = flag.Int("bench-workers", 4, "parallel worker count measured against the serial baseline")
-	benchBytes    = flag.Int("bench-bytes", 4<<20, "benchmark input size; `make bench-smoke` shrinks it to run under -race")
-	benchSweep    = flag.Bool("bench-workers-sweep", false, "measure the parallel benchmarks at workers 1,2,4,8 instead of only -bench-workers, producing per-core scaling curves in the JSON report")
+var benchBytes = flag.Int("bench-bytes", 4<<20, "benchmark input size; `make bench-smoke` shrinks it to run under -race")
+
+const (
+	benchChunk   = 1 << 20
+	benchWorkers = 4
 )
-
-const benchChunk = 1 << 20
-
-// benchWorkerCounts resolves the parallel worker counts under measurement:
-// the single -bench-workers point by default, the full per-core curve with
-// -bench-workers-sweep.
-func benchWorkerCounts() []int {
-	if *benchSweep {
-		return []int{1, 2, 4, 8}
-	}
-	return []int{*benchWorkers}
-}
-
-// The recorder keys parallel metrics by (codec, workers) so a sweep run
-// yields one BenchResult row per curve point; serial metrics are
-// per-codec and are copied onto every row of that codec's curve when the
-// report is assembled, keeping each row a self-contained speedup sample.
-var benchRecorder = struct {
-	sync.Mutex
-	serial   map[string]*stats.BenchResult
-	parallel map[string]*stats.BenchResult
-}{serial: map[string]*stats.BenchResult{}, parallel: map[string]*stats.BenchResult{}}
-
-// recordBench keeps the best observed throughput per metric across -count
-// repetitions: on a shared runner a CPU-steal spike poisons any single run
-// (and would poison a mean), while the best of several runs is reproducibly
-// close to what the hardware sustains. `make bench` passes -count=3.
-// Serial measurements pass workers == 0.
-func recordBench(codec string, workers int, parallel, decode bool, mbps float64) {
-	benchRecorder.Lock()
-	defer benchRecorder.Unlock()
-	bucket, key := benchRecorder.serial, codec
-	if parallel {
-		bucket, key = benchRecorder.parallel, fmt.Sprintf("%s/w%d", codec, workers)
-	}
-	r := bucket[key]
-	if r == nil {
-		r = &stats.BenchResult{
-			Codec:      codec,
-			Workers:    workers,
-			InputBytes: int64(*benchBytes),
-			ChunkBytes: benchChunk,
-		}
-		bucket[key] = r
-	}
-	best := func(old float64) float64 {
-		if mbps > old {
-			return mbps
-		}
-		return old
-	}
-	switch {
-	case decode && parallel:
-		r.ParallelDecodeMBps = best(r.ParallelDecodeMBps)
-	case decode:
-		r.SerialDecodeMBps = best(r.SerialDecodeMBps)
-	case parallel:
-		r.ParallelMBps = best(r.ParallelMBps)
-	default:
-		r.SerialMBps = best(r.SerialMBps)
-	}
-}
-
-func throughputMBps(b *testing.B, n int) float64 {
-	if e := b.Elapsed(); e > 0 {
-		return float64(n) * float64(b.N) / e.Seconds() / 1e6
-	}
-	return 0
-}
-
-// benchInput is a smooth float32 field with light noise — the same flavour of
-// data as the SDRBench-style study inputs, so per-codec ratios are realistic.
-var benchInput = sync.OnceValue(func() []byte {
-	rng := rand.New(rand.NewSource(7))
-	buf := make([]byte, 0, *benchBytes)
-	for i := 0; i < *benchBytes/4; i++ {
-		v := float32(math.Sin(float64(i)/97) + 0.01*rng.NormFloat64())
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-	}
-	return buf
-})
 
 func BenchmarkStreamCompress(b *testing.B) {
-	data := benchInput()
+	data := sweep.SyntheticInput(*benchBytes)
 	for _, c := range all.Raw() {
 		c := c
 		b.Run(c.Name()+"/serial", func(b *testing.B) {
@@ -130,34 +41,27 @@ func BenchmarkStreamCompress(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			recordBench(c.Name(), 0, false, false, throughputMBps(b, len(data)))
 		})
-		for _, nw := range benchWorkerCounts() {
-			nw := nw
-			b.Run(fmt.Sprintf("%s/parallel-w%d", c.Name(), nw), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				var dst bytes.Buffer
-				for i := 0; i < b.N; i++ {
-					dst.Reset()
-					w := compress.NewParallelWriter(c, &dst, benchChunk, nw)
-					if _, err := w.Write(data); err != nil {
-						b.Fatal(err)
-					}
-					if err := w.Close(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("%s/parallel-w%d", c.Name(), benchWorkers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			var dst bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				dst.Reset()
+				w := compress.NewParallelWriter(c, &dst, benchChunk, benchWorkers)
+				if _, err := w.Write(data); err != nil {
+					b.Fatal(err)
 				}
-				recordBench(c.Name(), nw, true, false, throughputMBps(b, len(data)))
-			})
-		}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkStreamDecompress covers the read side; it feeds the decode
-// columns of the JSON report so decode-path regressions gate alongside the
-// compress direction.
+// BenchmarkStreamDecompress covers the read side of the same streams.
 func BenchmarkStreamDecompress(b *testing.B) {
-	data := benchInput()
+	data := sweep.SyntheticInput(*benchBytes)
 	for _, c := range all.Raw() {
 		c := c
 		var enc bytes.Buffer
@@ -178,50 +82,17 @@ func BenchmarkStreamDecompress(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			recordBench(c.Name(), 0, false, true, throughputMBps(b, len(data)))
 		})
-		for _, nw := range benchWorkerCounts() {
-			nw := nw
-			b.Run(fmt.Sprintf("%s/parallel-w%d", c.Name(), nw), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				for i := 0; i < b.N; i++ {
-					r := compress.NewParallelReader(c, bytes.NewReader(stream), nw)
-					if _, err := io.ReadFull(r, out); err != nil {
-						r.Close()
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("%s/parallel-w%d", c.Name(), benchWorkers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				r := compress.NewParallelReader(c, bytes.NewReader(stream), benchWorkers)
+				if _, err := io.ReadFull(r, out); err != nil {
 					r.Close()
+					b.Fatal(err)
 				}
-				recordBench(c.Name(), nw, true, true, throughputMBps(b, len(data)))
-			})
-		}
-	}
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if *benchJSONPath != "" && len(benchRecorder.parallel) > 0 {
-		report := &stats.BenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-		if report.NumCPU == 1 {
-			report.Note = "1-CPU machine: the parallel engine falls back to the serial path, so per-core curves are flat at ~1.0 by construction; compare absolute MB/s only against runs on the same hardware"
-		}
-		// One row per (codec, workers) curve point; the codec's serial
-		// throughputs repeat on every row so each is a self-contained
-		// speedup sample (the format benchdiff -scaling consumes).
-		for _, r := range benchRecorder.parallel {
-			row := *r
-			if s := benchRecorder.serial[row.Codec]; s != nil {
-				row.SerialMBps = s.SerialMBps
-				row.SerialDecodeMBps = s.SerialDecodeMBps
+				r.Close()
 			}
-			report.Results = append(report.Results, row)
-		}
-		if err := stats.WriteBenchJSON(*benchJSONPath, report); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if code == 0 {
-				code = 1
-			}
-		}
+		})
 	}
-	os.Exit(code)
 }

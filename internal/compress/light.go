@@ -2,14 +2,13 @@ package compress
 
 // LightDecoder is implemented by codecs whose decompression runs at
 // memory-bandwidth-class speed (byte copies, table lookups — no entropy
-// modeling worth parallelizing). The parallel engine uses it as a
-// scheduling hint: on a single-CPU host the worker pool cannot overlap
-// anything, and for a light decoder the pool's channel hops and buffer
-// copies cost more than the decode itself, so the engine falls back to the
-// serial reader even when more workers were requested.
+// modeling worth parallelizing). It is only a hint for clients: positd
+// publishes it as light_decoder on GET /v1/codecs. No engine path reads
+// it; the parallel engine falls back to the serial path for every codec
+// at workers == 1 or GOMAXPROCS == 1.
 type LightDecoder interface {
-	// DecodeIsLight reports whether decompression is cheap enough that
-	// pool overhead dominates on a single CPU.
+	// DecodeIsLight reports whether decompression runs at
+	// memory-bandwidth-class speed.
 	DecodeIsLight() bool
 }
 

@@ -231,8 +231,7 @@ func readLenExt(comp []byte, i, base int) (int, int, error) {
 }
 
 // DecodeIsLight implements compress.LightDecoder: LZ4 decode is pure byte
-// copying, so on a 1-CPU host the parallel engine's pool overhead dominates
-// and the serial fallback wins.
+// copying. It only sets the light_decoder hint on /v1/codecs.
 func (c *Codec) DecodeIsLight() bool { return true }
 
 var _ compress.Codec = (*Codec)(nil)

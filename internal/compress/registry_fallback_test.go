@@ -14,9 +14,9 @@ import (
 // decision for every codec in the registry, both directions: the serial
 // path engages exactly when workers == 1 or only one CPU is available,
 // regardless of codec weight. No codec gets a bespoke policy — the
-// BENCH_compress.json history showed parallel decode at 0.90-0.98x of
-// serial for bzip2/fpc32/fpc-posit at workers=4 on one core, and the fix
-// is uniform, so the pin is too.
+// measurements recorded in DESIGN §15 showed parallel decode at
+// 0.90-0.98x of serial for bzip2/fpc32/fpc-posit at workers=4 on one
+// core, and the fix is uniform, so the pin is too.
 func TestSerialFallbackPolicyEveryRegistryCodec(t *testing.T) {
 	data := make([]byte, 8<<10)
 	for i := range data {

@@ -47,11 +47,11 @@ func (lightCodec) DecodeIsLight() bool { return true }
 
 // On a 1-CPU host, extra workers cannot add CPU for ANY codec: the
 // fallback must engage even when more workers were requested, light and
-// heavy alike. The old policy kept heavy codecs on the pool there, and
-// BENCH_compress.json measured the cost: parallel decode at 0.90-0.98x of
-// serial for bzip2/fpc32/fpc-posit at workers=4. With real CPUs available
-// the hint changes nothing and the scheduler runs. (The per-registry-codec
-// pin lives in TestSerialFallbackPolicyEveryRegistryCodec.)
+// heavy alike. The old policy kept heavy codecs on the pool there, and the
+// measurements recorded in DESIGN §15 showed the cost: parallel decode at
+// 0.90-0.98x of serial for bzip2/fpc32/fpc-posit at workers=4. With real
+// CPUs available the hint changes nothing and the scheduler runs. (The
+// per-registry-codec pin lives in TestSerialFallbackPolicyEveryRegistryCodec.)
 func TestParallelReaderLightCodecFallback(t *testing.T) {
 	stream := writeSerial(t, lightCodec{}, parallelData(8<<10), 1024)
 

@@ -37,8 +37,9 @@ func (c *Codec) Unwrap() compress.Codec { return c.inner }
 func (c *Codec) Name() string { return c.inner.Name() }
 
 // DecodeIsLight implements compress.LightDecoder by forwarding the inner
-// codec's hint: CRC verification adds memory-bandwidth-class work, so the
-// frame never changes a codec's weight class.
+// codec's hint, so the light_decoder hint on /v1/codecs reads the same for
+// the framed codec: CRC verification adds memory-bandwidth-class work, so
+// the frame never changes a codec's weight class.
 func (c *Codec) DecodeIsLight() bool { return compress.DecodeIsLight(c.inner) }
 
 // Info implements compress.Describer when the inner codec does.

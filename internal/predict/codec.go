@@ -94,8 +94,8 @@ func (c *Codec) Info() compress.Info {
 }
 
 // DecodeIsLight implements compress.LightDecoder: decoding is table lookups
-// and bit reads at memory-bandwidth-class speed, so on a single CPU the
-// parallel engine's pool overhead costs more than it can recover.
+// and bit reads at memory-bandwidth-class speed. It only sets the
+// light_decoder hint on /v1/codecs.
 func (c *Codec) DecodeIsLight() bool { return true }
 
 // Compress implements compress.Codec.

@@ -457,7 +457,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // codecsResponse is one GET /v1/codecs entry: identity plus the capability
 // hints clients and the gateway introspect instead of hard-coding names —
-// whether the decoder is light enough for the serial fallback path, whether
+// whether the decoder runs at memory-bandwidth-class speed, whether
 // the codec emits per-stage trace spans, and whether the auto-mode advisor
 // considers it a candidate.
 type codecsResponse struct {

@@ -1,4 +1,4 @@
-package stats
+package sweep
 
 import (
 	"strings"
@@ -63,42 +63,30 @@ func TestCheckScalingLenientOnOneCPU(t *testing.T) {
 	}
 }
 
-func TestCheckScalingRegressSkipsDifferentHardware(t *testing.T) {
-	oldRep := &BenchReport{NumCPU: 8, Results: []BenchResult{scalingRow("xz", 4, 10, 35, 40, 44)}}
-	newRep := &BenchReport{NumCPU: 4, Results: []BenchResult{scalingRow("xz", 4, 10, 20, 40, 41)}}
-	probs, compared := CheckScalingRegress(oldRep, newRep, 10)
-	if compared || probs != nil {
-		t.Errorf("cross-hardware comparison not skipped: compared=%v probs=%v", compared, probs)
+func TestFill(t *testing.T) {
+	r := &BenchReport{
+		GOMAXPROCS: 4,
+		Results: []BenchResult{
+			{Codec: "zstd", Workers: 4, InputBytes: 1 << 22, ChunkBytes: 1 << 20, SerialMBps: 50, ParallelMBps: 150},
+			{Codec: "gzip", Workers: 4, InputBytes: 1 << 22, ChunkBytes: 1 << 20, SerialMBps: 20, ParallelMBps: 60},
+		},
+	}
+	r.Fill()
+	// Fill computed speedups and sorted by codec name.
+	if r.Results[0].Codec != "gzip" || r.Results[1].Codec != "zstd" {
+		t.Fatalf("not sorted: %+v", r.Results)
+	}
+	for _, res := range r.Results {
+		if res.Speedup < 2.9 || res.Speedup > 3.1 {
+			t.Fatalf("speedup not derived: %+v", res)
+		}
 	}
 }
 
-func TestCheckScalingRegressSkipsOneCPU(t *testing.T) {
-	// On one core the engine falls back to serial, so efficiency divides
-	// noise by noise; a 20% "drop" there must not gate anything.
-	oldRep := &BenchReport{NumCPU: 1, Results: []BenchResult{scalingRow("xz", 4, 10, 12, 40, 44)}}
-	newRep := &BenchReport{NumCPU: 1, Results: []BenchResult{scalingRow("xz", 4, 10, 9.5, 40, 41)}}
-	probs, compared := CheckScalingRegress(oldRep, newRep, 10)
-	if compared || probs != nil {
-		t.Errorf("1-CPU comparison not skipped: compared=%v probs=%v", compared, probs)
-	}
-}
-
-func TestCheckScalingRegressFlagsEfficiencyDrop(t *testing.T) {
-	oldRep := &BenchReport{NumCPU: 4, Results: []BenchResult{scalingRow("xz", 4, 10, 36, 40, 44)}}
-	newRep := &BenchReport{NumCPU: 4, Results: []BenchResult{
-		scalingRow("xz", 4, 10, 24, 40, 44),  // efficiency 0.9 -> 0.6
-		scalingRow("new", 4, 10, 11, 40, 41), // only in new: skipped
-	}}
-	probs, compared := CheckScalingRegress(oldRep, newRep, 10)
-	if !compared {
-		t.Fatal("same-hardware comparison skipped")
-	}
-	if len(probs) != 1 || !strings.Contains(probs[0], "xz w=4") || !strings.Contains(probs[0], "compress") {
-		t.Errorf("efficiency drop not flagged correctly: %v", probs)
-	}
-	// Within tolerance: no flag.
-	newRep.Results[0].ParallelMBps = 34
-	if probs, _ := CheckScalingRegress(oldRep, newRep, 10); len(probs) != 0 {
-		t.Errorf("within-tolerance drift flagged: %v", probs)
+func TestFillZeroSerial(t *testing.T) {
+	r := &BenchReport{Results: []BenchResult{{Codec: "xz", ParallelMBps: 10}}}
+	r.Fill()
+	if r.Results[0].Speedup != 0 {
+		t.Fatalf("speedup with zero serial baseline should stay 0, got %g", r.Results[0].Speedup)
 	}
 }

@@ -1,13 +1,12 @@
 // Package sweep measures per-core scaling curves for the streaming
 // compression engine: serial vs parallel throughput for every codec,
-// direction, and worker count, reported in the BENCH_compress.json schema
-// (one BenchResult row per (codec, workers) pair, serial columns measured
-// alongside each parallel point so each row is a self-contained,
-// drift-free speedup sample).
+// direction, and worker count, reported as a BenchReport (one BenchResult
+// row per (codec, workers) pair, serial columns measured alongside each
+// parallel point so each row is a self-contained, drift-free speedup
+// sample), and checks them with CheckScaling.
 //
-// The package is the shared measurement core behind `compressbench
-// -workers-sweep` and the `make bench-scaling` CI gate; cmd/benchdiff
-// consumes the reports it produces.
+// The package is the measurement core behind `compressbench
+// -workers-sweep`, whose exit status is the `make bench-scaling` CI gate.
 package sweep
 
 import (
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"positbench/internal/compress"
-	"positbench/internal/stats"
 )
 
 // DefaultWorkers is the canonical per-core curve: enough points to see the
@@ -79,12 +77,12 @@ func SyntheticInput(n int) []byte {
 // iteration-interleaved in the same time window, so each row's speedup
 // ratio is drift-free (see measurePair) — serial columns therefore vary
 // slightly from row to row, and each row is self-contained.
-func Run(o Options) (*stats.BenchReport, error) {
+func Run(o Options) (*BenchReport, error) {
 	o.fill()
 	if len(o.Codecs) == 0 {
 		return nil, fmt.Errorf("sweep: no codecs")
 	}
-	rep := &stats.BenchReport{
+	rep := &BenchReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
@@ -107,7 +105,7 @@ func Run(o Options) (*stats.BenchReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: %s w=%d: %w", c.Name(), w, err)
 			}
-			rep.Results = append(rep.Results, stats.BenchResult{
+			rep.Results = append(rep.Results, BenchResult{
 				Codec:              c.Name(),
 				Workers:            w,
 				InputBytes:         int64(len(o.Input)),
@@ -129,10 +127,9 @@ func Run(o Options) (*stats.BenchReport, error) {
 // runner the machine slowly speeds up and down (cgroup throttling, noisy
 // neighbours), and two measurements taken in different windows disagree by
 // tens of percent even for identical code. Sampling both sides of the
-// ratio in the same window cancels that drift. Best-of matches the repo's
-// bench recorder: a CPU-steal spike poisons any single run (and a mean),
-// while the best of several is reproducibly close to what the hardware
-// sustains.
+// ratio in the same window cancels that drift. Best-of rather than a
+// mean: a CPU-steal spike poisons any single run (and a mean), while the
+// best of several is reproducibly close to what the hardware sustains.
 func measurePair(o Options, nBytes int, serialFn, parallelFn func() error) (serBest, parBest float64, err error) {
 	start := time.Now()
 	for iter := 0; iter < o.MinIter || time.Since(start) < o.MinTime; iter++ {

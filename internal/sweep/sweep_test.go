@@ -6,10 +6,9 @@ import (
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
-	"positbench/internal/stats"
 )
 
-// TestRunShape pins the report format the CI gate consumes: one row per
+// TestRunShape pins the report format the CI gate checks: one row per
 // (codec, workers) with serial throughput re-measured on every row, sorted,
 // speedups filled, and hardware recorded.
 func TestRunShape(t *testing.T) {
@@ -57,11 +56,10 @@ func TestRunShape(t *testing.T) {
 	if s0 <= 0 || s1 <= 0 {
 		t.Error("serial throughput missing from a curve row")
 	}
-	// The report must satisfy its own intra-run gate with a generous noise
-	// tolerance (tiny inputs on a loaded runner are jittery).
-	if probs := stats.CheckScaling(rep, 60); len(probs) != 0 {
-		t.Errorf("self-check failed: %v", probs)
-	}
+	// No timing assertion: one 64 KiB sample per side swings the
+	// parallel/serial ratio by more than 10x under load, even at w=1 where
+	// both sides run the same code. `make bench-scaling` holds the curve to
+	// CheckScaling at 10% on 1 MiB with 300 ms per point.
 }
 
 func TestRunRejectsEmpty(t *testing.T) {
