@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -206,6 +207,56 @@ func TestFramedModeErrors(t *testing.T) {
 	}
 	if err := run([]string{"-z", "nope", os.DevNull, "x"}, &out); err == nil {
 		t.Fatal("unknown codec accepted")
+	}
+}
+
+// TestStreamModes drives the indexed-stream modes end to end: -zs -chunk
+// writes a stream whose seek trailer -index reads back, -range writes
+// exactly the requested slice, -ds roundtrips the whole stream, and -zs
+// with -ds is rejected.
+func TestStreamModes(t *testing.T) {
+	dir := t.TempDir()
+	orig := writeField(t, dir, "in.f32", 40000)
+	want, err := os.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 16 << 10
+	chunks := (len(want) + chunk - 1) / chunk
+	stream := filepath.Join(dir, "in.pbs")
+	var out bytes.Buffer
+	if err := run([]string{"-zs", "gzip", "-chunk", fmt.Sprint(chunk), orig, stream}, &out); err != nil {
+		t.Fatalf("-zs: %v", err)
+	}
+
+	out.Reset()
+	if err := run([]string{"-index", stream}, &out); err != nil {
+		t.Fatalf("-index: %v", err)
+	}
+	if s := fmt.Sprintf(": %d chunks, %d raw bytes", chunks, len(want)); !strings.Contains(out.String(), s) {
+		t.Errorf("-index output lacks %q:\n%s", s, out.String())
+	}
+
+	// The window straddles chunk boundaries on both ends.
+	off, n := chunk+100, 2*chunk+200
+	slice := filepath.Join(dir, "slice.bin")
+	if err := run([]string{"-range", fmt.Sprintf("%d:%d", off, n), stream, slice}, &out); err != nil {
+		t.Fatalf("-range: %v", err)
+	}
+	if got, _ := os.ReadFile(slice); !bytes.Equal(got, want[off:off+n]) {
+		t.Errorf("-range %d:%d wrote %d bytes that are not that slice of the input", off, n, len(got))
+	}
+
+	back := filepath.Join(dir, "back.f32")
+	if err := run([]string{"-ds", stream, back}, &out); err != nil {
+		t.Fatalf("-ds: %v", err)
+	}
+	if got, _ := os.ReadFile(back); !bytes.Equal(got, want) {
+		t.Error("-ds roundtrip is not byte-identical")
+	}
+
+	if err := run([]string{"-zs", "gzip", "-ds", orig, back}, &out); err == nil {
+		t.Error("-zs with -ds accepted")
 	}
 }
 

@@ -26,6 +26,9 @@
 // Exit status is 0 when the run saw no server errors, transport errors, or
 // roundtrip mismatches; 1 otherwise (shed load — 429s and dropped ticks —
 // is expected under deliberate overload and does not fail the run).
+//
+// The process-level soaks in internal/e2e (make e2e) run positload against
+// real positd processes and decode its report into load.Report.
 package main
 
 import (

@@ -675,6 +675,14 @@ func (r *ParallelReader) Read(p []byte) (int, error) {
 			r.slotPool.Put(r.cur)
 			r.cur = nil
 		}
+		// Check before every chunk, as the serial fallback does on every
+		// Read: the watcher that closes r.stop on cancellation can run late
+		// while decoded slots keep arriving.
+		if err := r.ctx.Err(); err != nil {
+			r.err = err
+			r.shutdown()
+			return 0, r.err
+		}
 		slot, ok := <-r.slots
 		if !ok { // only after Close or context cancellation
 			if err := r.ctx.Err(); err != nil {

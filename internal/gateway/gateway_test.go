@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -320,6 +321,66 @@ func TestProxyOversizedBodyNotRetried(t *testing.T) {
 	}
 	if snap := g.snapshot(); snap.BodiesStreamed != 1 || snap.RetriesTotal != 0 {
 		t.Fatalf("snapshot = %+v, want one streamed body, zero retries", snap)
+	}
+}
+
+// A streamed (over-cap) body must reach the backend whole even when the
+// backend answers first and the client sends the rest only after the
+// response headers arrive. Without full duplex the gateway's HTTP/1 server
+// stops to discard the unread body at the first response write, so the
+// exchange deadlocks until the client's deadline.
+func TestProxyStreamingFullDuplex(t *testing.T) {
+	const head, total = 128 << 10, 256 << 10
+	got := make(chan int64, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = http.NewResponseController(w).EnableFullDuplex()
+		n, _ := io.CopyN(io.Discard, r.Body, head)
+		w.Write(make([]byte, 8<<10))
+		w.(http.Flusher).Flush()
+		rest, _ := io.Copy(io.Discard, r.Body)
+		got <- n + rest
+	}))
+	defer backend.Close()
+	_, front := newTestGateway(t, []string{backend.URL}, func(cfg *Config) {
+		cfg.MaxBufferBytes = 64 << 10
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	headers := make(chan struct{})
+	go func() {
+		pw.Write(make([]byte, head))
+		select {
+		case <-headers:
+			pw.Write(make([]byte, total-head))
+			pw.Close()
+		case <-ctx.Done():
+			// The transport waits for its body writer before Do returns.
+			pw.CloseWithError(ctx.Err())
+		}
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/v1/x", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	close(headers)
+	if err != nil {
+		t.Fatalf("no response headers before the deadline: %v", err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("reading the relayed response: %v", err)
+	}
+	select {
+	case n := <-got:
+		if n != total {
+			t.Fatalf("backend received %d of %d body bytes", n, total)
+		}
+	case <-ctx.Done():
+		t.Fatal("backend never finished reading the body")
 	}
 }
 

@@ -101,8 +101,10 @@ type backendExport struct {
 	Ejections    int64  `json:"ejections"`
 }
 
-// metricsSnapshot is the full GET /metrics document.
-type metricsSnapshot struct {
+// MetricsSnapshot is the full GET /metrics document. It is exported so
+// clients outside the package, such as the e2e soaks, decode /metrics into
+// the gateway's own type instead of matching JSON by hand.
+type MetricsSnapshot struct {
 	UptimeSeconds    float64                  `json:"uptime_seconds"`
 	Draining         bool                     `json:"draining"`
 	Responses2xx     int64                    `json:"responses_2xx"`
@@ -128,9 +130,9 @@ type metricsSnapshot struct {
 }
 
 // snapshot assembles the /metrics document.
-func (g *Gateway) snapshot() metricsSnapshot {
+func (g *Gateway) snapshot() MetricsSnapshot {
 	m := g.metrics
-	snap := metricsSnapshot{
+	snap := MetricsSnapshot{
 		UptimeSeconds:    time.Since(m.start).Seconds(),
 		Draining:         g.draining.Load(),
 		Responses2xx:     m.responses2xx.Load(),

@@ -192,6 +192,12 @@ func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix 
 		g.metrics.forcedTries.Add(1)
 	}
 	sp.Annotate("backend", b.name)
+	// The backend may answer before the whole body has been forwarded.
+	// Relaying that answer must not stop the client's body: without full
+	// duplex, HTTP/1 discards the unread body at the first response write,
+	// and the bytes still in flight never reach the backend. The error only
+	// means the writer has no such discard to turn off.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	req := g.upstreamRequest(r.Context(), r, b, io.MultiReader(bytes.NewReader(prefix), r.Body), r.ContentLength)
 	resp, err := g.client.Do(req)
 	if err != nil {

@@ -11,8 +11,7 @@ import (
 )
 
 // ChaosTarget is one thing the chaos controller may take down and bring
-// back: an in-process backend in a soak test, or a child process in a
-// shell harness.
+// back, such as an in-process positd backend in the gateway's chaos soak.
 type ChaosTarget interface {
 	// Name identifies the target in events and logs.
 	Name() string

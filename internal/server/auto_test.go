@@ -79,7 +79,7 @@ func TestAutoMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var snap metricsSnapshot
+	var snap MetricsSnapshot
 	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}

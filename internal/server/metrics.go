@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -139,8 +140,10 @@ type engineExport struct {
 	TracesCaptured uint64 `json:"traces_captured"`
 }
 
-// metricsSnapshot is the full GET /metrics document.
-type metricsSnapshot struct {
+// MetricsSnapshot is the full GET /metrics document. It is exported so
+// clients outside the package, such as the e2e soaks, decode /metrics into
+// the server's own type instead of matching JSON by hand.
+type MetricsSnapshot struct {
 	UptimeSeconds float64                           `json:"uptime_seconds"`
 	Inflight      int64                             `json:"inflight"`
 	Rejected429   int64                             `json:"rejected_429"`
@@ -153,10 +156,10 @@ type metricsSnapshot struct {
 }
 
 // snapshot assembles the /metrics document under the registry lock.
-func (m *metrics) snapshot() metricsSnapshot {
+func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := metricsSnapshot{
+	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Inflight:      m.inflight.Load(),
 		Rejected429:   m.rejected.Load(),
@@ -168,7 +171,11 @@ func (m *metrics) snapshot() metricsSnapshot {
 		snap.Engine.Utilization = float64(snap.Engine.WorkersBusy) / float64(alive)
 	}
 	for route, rs := range m.routes {
-		snap.Requests[route] = routeExport{routeStats: *rs, Latency: exportLatency(&rs.lat)}
+		exp := routeExport{routeStats: *rs, Latency: exportLatency(&rs.lat)}
+		// The snapshot is encoded after the lock is released, while
+		// recordRequest keeps counting into the live map.
+		exp.ByClass = maps.Clone(rs.ByClass)
+		snap.Requests[route] = exp
 	}
 	for key, cs := range m.codecOps {
 		codec, op := splitKey(key)

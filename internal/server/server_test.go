@@ -470,7 +470,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap metricsSnapshot
+	var snap MetricsSnapshot
 	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -488,6 +488,27 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if gz["compress"].Latency.P99US < gz["compress"].Latency.P50US {
 		t.Fatalf("latency quantiles not monotone: %+v", gz["compress"].Latency)
 	}
+}
+
+// /metrics encodes its snapshot after the registry lock is released, so the
+// snapshot must share no map with requests still finishing. Under -race a
+// shared map is a reported race; without it, a crash at worst.
+func TestMetricsSnapshotWhileRecording(t *testing.T) {
+	m := newMetrics()
+	m.recordRequest("compress", http.StatusOK, time.Millisecond, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			m.recordRequest("compress", 200+i%300, time.Millisecond, 1)
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		if _, err := json.Marshal(m.snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
 }
 
 func TestAccessLogWritesJSONLines(t *testing.T) {
