@@ -7,26 +7,12 @@
 #   make race        unit tests under the race detector
 #   make fuzz-smoke  10 s of fuzzing per fuzz target (seeded with
 #                    known-bad frames; catches decode-path panics fast)
-#   make test-parallel  the parallel-engine test layer, race-enabled and
-#                    run twice (catches order-dependent scheduling bugs)
-#   make test-engine the work-stealing scheduler and chunk engine package,
-#                    race-enabled and run twice, plus the bzip2c stage-
-#                    pipeline byte-identity pin: steal races, park/unpark,
-#                    and close-drain ordering only vary across schedules
-#   make test-predict  the predictive codec family (internal/predict and
-#                    positpack v2), race-enabled and run twice
-#   make test-server the positd HTTP layer, race-enabled and run twice
-#   make test-advisor  the adaptive codec selection layer (internal/advisor
-#                    and cmd/positadvise), race-enabled and run twice: the
-#                    decision cache's single-flight coalescing is goroutine
-#                    choreography, so schedules are the thing to vary
-#   make test-gateway  the resilience + gateway layers, race-enabled and
-#                    run twice (includes the in-process chaos soak)
-#   make test-range  the random-access wall: container trailer + ReaderAt,
-#                    the content-addressed chunk cache, and the positd
-#                    object/range handlers, race-enabled and run twice
-#                    (single-flight fills and cache eviction are goroutine
-#                    choreography, so schedules are the thing to vary)
+#   make race-twice  the concurrency-sensitive packages (chunk engine,
+#                    predictive codecs, positd, the advisor, the container
+#                    and chunk cache, resilience and positgw with its chaos
+#                    soak) under the race detector, run twice: the second
+#                    run sees different goroutine schedules, which is what
+#                    shakes out ordering bugs
 #   make e2e         the process-level soaks (internal/e2e, build tag
 #                    e2e): builds positd, race-built positd and positgw,
 #                    and positload once, then runs the burst, auto and
@@ -45,7 +31,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range e2e bench-smoke bench-scaling fuzz-smoke ci
+.PHONY: all check vet build test race race-twice e2e bench-smoke bench-scaling fuzz-smoke ci
 
 all: check
 
@@ -72,50 +58,21 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The concurrency layer, twice under the race detector: the second run sees
-# different goroutine schedules, which is what shakes out ordering bugs.
-test-parallel:
-	$(GO) test -race -count=2 -run 'Parallel|Stream|Equivalence' ./internal/compress/...
-
-# The chunk engine package end to end — scheduler, deques, steal order,
-# serial-fallback policy, alloc gates — plus the bzip2c stage-pipeline
-# byte-identity pin. Race-enabled and run twice: everything here is
-# goroutine choreography, so varied schedules are the test.
-test-engine:
-	$(GO) test -race -count=2 ./internal/compress
-	$(GO) test -race -count=2 -run 'PipelineByteIdentity' ./internal/compress/bzip2c
-
-# The predictive codec family, twice under the race detector: the codecs
-# share pooled predictor state across the engine's worker goroutines, so a
-# second run with different schedules is the cheapest ordering fuzz for the
-# pool discipline (and the golden/property wall reruns for free).
-test-predict:
-	$(GO) test -race -count=2 ./internal/predict/... ./internal/positpack/...
-
-# The HTTP service layer, twice under the race detector: handlers stream
-# through the parallel engine, so they inherit its scheduling sensitivity.
-test-server:
-	$(GO) test -race -count=2 ./internal/server/... ./cmd/positd/...
-
-# The adaptive-selection layer, twice under the race detector: concurrent
-# auto requests race for the decision cache's single-flight leadership, so
-# a second run with different schedules is the cheapest ordering fuzz.
-test-advisor:
-	$(GO) test -race -count=2 ./internal/advisor/... ./cmd/positadvise/...
-
-# The random-access layer, twice under the race detector: the trailer
-# parser and ReaderAt are pure code, but the chunk cache's single-flight
-# fills and LRU eviction race 32 readers per test, and the positd range
-# handlers stream through the shared cache — varied schedules are the test.
-test-range:
-	$(GO) test -race -count=2 ./internal/container/... ./internal/chunkcache/...
-	$(GO) test -race -count=2 -run 'Range|Object|Read|Trailer|Compress' ./internal/server/...
-
-# The resilience primitives and the gateway, twice under the race detector:
-# retries, hedging, breakers, and probing are all goroutine choreography,
-# so a second run with different schedules is the cheapest ordering fuzz.
-test-gateway:
-	$(GO) test -race -count=2 ./internal/resilience/... ./internal/gateway/...
+# The concurrency-sensitive packages, twice under the race detector: the
+# chunk engine and its work-stealing scheduler, the predictive codecs'
+# pooled predictor state, positd's streaming handlers, the advisor's
+# single-flight decision cache, the chunk cache's single-flight fills and
+# eviction, and the gateway's retries, hedging, breakers, probes and chaos
+# soak are all goroutine choreography, so a second run with different
+# schedules is the cheapest ordering fuzz. The rest of internal/compress/...
+# runs only its stream-layer tests here: a raced pass of the whole tree
+# takes about four times as long.
+race-twice:
+	$(GO) test -race -count=2 ./internal/compress ./internal/predict/... ./internal/positpack/... \
+		./internal/server/... ./cmd/positd/... ./internal/advisor/... ./cmd/positadvise/... \
+		./internal/container/... ./internal/chunkcache/... \
+		./internal/resilience/... ./internal/gateway/... ./cmd/positgw/...
+	$(GO) test -race -count=2 -run 'Parallel|Stream|Equivalence|PipelineByteIdentity' ./internal/compress/...
 
 # The process-level soaks over real sockets: a positload burst against a
 # race-built positd, the -auto arm against positd, and a range-read burst
@@ -154,4 +111,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: check race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range e2e bench-smoke bench-scaling fuzz-smoke
+ci: check race race-twice e2e bench-smoke bench-scaling fuzz-smoke

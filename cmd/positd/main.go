@@ -17,13 +17,14 @@
 // share the public address. Bind it to loopback (e.g. -pprof
 // 127.0.0.1:6060).
 //
-// The process runs until SIGINT or SIGTERM, then drains: the listener
-// closes immediately, in-flight requests get up to -drain to finish, and
-// the exit code reports whether the drain completed (0) or was cut off (1).
+// The process runs until SIGINT or SIGTERM, then drains the way positgw
+// does (httpshell.Serve): /readyz flips to 503, the listener keeps
+// answering for -drain-grace, in-flight requests get up to -drain to
+// finish, and the exit code reports whether the drain completed (0) or was
+// cut off (1).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"log"
@@ -31,25 +32,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/server"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:]))
-}
-
-// writeAddrFile records a bound address via atomic rename, so a polling
-// script never reads a half-written file.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func run(args []string) int {
@@ -89,9 +79,6 @@ func run(args []string) int {
 		log.Printf("positd: %v", err)
 		return 1
 	}
-	// Unready until the listener is actually accepting: a router probing
-	// /readyz during startup must not route here yet.
-	srv.SetReady(false)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -100,7 +87,7 @@ func run(args []string) int {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := writeAddrFile(*addrFile, bound); err != nil {
+		if err := httpshell.WriteAddrFile(*addrFile, bound); err != nil {
 			log.Printf("positd: write addr-file: %v", err)
 			return 1
 		}
@@ -134,7 +121,7 @@ func run(args []string) int {
 		}()
 		if *addrFile != "" {
 			// Scripts resolving a :0 pprof port read <addr-file>.pprof.
-			if err := writeAddrFile(*addrFile+".pprof", pln.Addr().String()); err != nil {
+			if err := httpshell.WriteAddrFile(*addrFile+".pprof", pln.Addr().String()); err != nil {
 				log.Printf("positd: write pprof addr-file: %v", err)
 				return 1
 			}
@@ -143,39 +130,7 @@ func run(args []string) int {
 		log.Printf("positd: pprof on %s", pln.Addr())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	srv.SetReady(true)
 	log.Printf("positd: serving on %s", bound)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-
-	select {
-	case sig := <-stop:
-		// Drain ordering: flip /readyz first and keep the listener open for
-		// -drain-grace, so health checkers observe unready and eject this
-		// backend before connections start being refused; then drain.
-		log.Printf("positd: %v: flipping /readyz, draining for up to %v", sig, *drain)
-		srv.SetReady(false)
-		if *drainGrace > 0 {
-			time.Sleep(*drainGrace)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Printf("positd: drain cut off: %v", err)
-			hs.Close()
-			return 1
-		}
-		log.Printf("positd: drained clean")
-		return 0
-	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("positd: serve: %v", err)
-			return 1
-		}
-		return 0
-	}
+	return httpshell.Serve("positd", &http.Server{Handler: srv.Handler()}, ln,
+		func() { srv.SetReady(false) }, *drainGrace, *drain)
 }

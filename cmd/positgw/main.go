@@ -20,33 +20,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"positbench/internal/gateway"
+	"positbench/internal/httpshell"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:]))
-}
-
-// writeAddrFile records a bound address via atomic rename, so a polling
-// script never reads a half-written file.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func run(args []string) int {
@@ -116,7 +104,7 @@ func run(args []string) int {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := writeAddrFile(*addrFile, bound); err != nil {
+		if err := httpshell.WriteAddrFile(*addrFile, bound); err != nil {
 			log.Printf("positgw: write addr-file: %v", err)
 			return 1
 		}
@@ -127,38 +115,7 @@ func run(args []string) int {
 	defer stopProbes()
 	gw.StartProbes(probeCtx)
 
-	hs := &http.Server{Handler: gw.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("positgw: serving on %s, backends %s", bound, strings.Join(gw.Backends(), ", "))
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-
-	select {
-	case sig := <-stop:
-		// Drain ordering: advertise unready first, keep answering while
-		// balancers notice, then stop accepting and let in-flight work
-		// finish.
-		log.Printf("positgw: %v: flipping /readyz, draining in %v", sig, *drainGrace)
-		gw.SetDraining(true)
-		if *drainGrace > 0 {
-			time.Sleep(*drainGrace)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Printf("positgw: drain cut off: %v", err)
-			hs.Close()
-			return 1
-		}
-		log.Printf("positgw: drained clean")
-		return 0
-	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("positgw: serve: %v", err)
-			return 1
-		}
-		return 0
-	}
+	return httpshell.Serve("positgw", &http.Server{Handler: gw.Handler()}, ln,
+		func() { gw.SetDraining(true) }, *drainGrace, *drain)
 }

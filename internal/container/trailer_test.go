@@ -189,7 +189,7 @@ func TestRangeReadTouchedChunks(t *testing.T) {
 }
 
 // TestReaderAtConcurrent exercises the stateless ReadAt path from many
-// goroutines sharing one cache; run under -race via `make test-range`.
+// goroutines sharing one cache; run under -race via `make race-twice`.
 func TestReaderAtConcurrent(t *testing.T) {
 	c := Wrap(stub{})
 	const chunk = 2 << 10

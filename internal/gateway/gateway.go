@@ -26,17 +26,15 @@
 package gateway
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"sync/atomic"
 	"time"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/resilience"
 	"positbench/internal/trace"
 )
@@ -116,7 +114,7 @@ type Gateway struct {
 	clock    resilience.Clock
 	client   *http.Client
 	metrics  *gwMetrics
-	access   *accessLogger
+	shell    *httpshell.Shell
 	tracer   *trace.Tracer // nil when tracing is disabled
 	draining atomic.Bool
 }
@@ -159,9 +157,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = resilience.System
 	}
-	if cfg.AccessLog == nil {
-		cfg.AccessLog = os.Stderr
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = &http.Transport{
@@ -180,8 +175,8 @@ func New(cfg Config) (*Gateway, error) {
 			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 		},
 		metrics: newGWMetrics(),
-		access:  &accessLogger{dst: cfg.AccessLog},
 	}
+	g.shell = httpshell.New(cfg.AccessLog, g.finish)
 	if cfg.TraceCapacity >= 0 {
 		g.tracer = trace.New(cfg.TraceCapacity)
 	}
@@ -249,71 +244,29 @@ func (g *Gateway) Backends() []string {
 	return names
 }
 
-// Tracer exposes the gateway's trace ring (nil when disabled); positgw
-// mounts trace.Handler-style debug output off it.
-func (g *Gateway) Tracer() *trace.Tracer { return g.tracer }
-
 // Handler returns the gateway mux: ops endpoints plus the catch-all proxy.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", g.shell("healthz", http.HandlerFunc(g.handleHealthz)))
-	mux.Handle("GET /readyz", g.shell("readyz", http.HandlerFunc(g.handleReadyz)))
-	mux.Handle("GET /metrics", g.shell("metrics", http.HandlerFunc(g.handleMetrics)))
-	mux.Handle("/", g.shell("proxy", http.HandlerFunc(g.handleProxy)))
+	mux.Handle("GET /healthz", g.shell.Wrap("healthz", http.HandlerFunc(g.handleHealthz)))
+	mux.Handle("GET /readyz", g.shell.Wrap("readyz", http.HandlerFunc(g.handleReadyz)))
+	mux.Handle("GET /metrics", g.shell.Wrap("metrics", http.HandlerFunc(g.handleMetrics)))
+	mux.Handle("/", g.shell.Wrap("proxy", http.HandlerFunc(g.handleProxy)))
 	return mux
 }
 
-// shell is the outermost middleware on every route: panic recovery, the
-// access log, and — on the proxy route only — the exact per-class response
-// accounting the soak harness reconciles against the load generator.
-func (g *Gateway) shell(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cw := &countingWriter{ResponseWriter: w}
-		rid := ensureRequestID(cw, r)
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				if p == http.ErrAbortHandler {
-					g.finish(route, cw, r, start, rid, true)
-					panic(p)
-				}
-				if !cw.wrote {
-					writeError(cw, http.StatusInternalServerError, "panic", "internal error")
-				}
-			}
-			g.finish(route, cw, r, start, rid, false)
-		}()
-		next.ServeHTTP(cw, r)
-	})
-}
-
-func (g *Gateway) finish(route string, cw *countingWriter, r *http.Request, start time.Time, rid string, aborted bool) {
-	status := cw.status
-	if !cw.wrote {
-		status = http.StatusOK
+// finish books a finished proxied request in exactly one response class,
+// the accounting the soak harness reconciles against the load generator.
+func (g *Gateway) finish(rec httpshell.Record, _ time.Duration) {
+	if rec.Route != "proxy" {
+		return
 	}
-	if route == "proxy" {
-		if aborted {
-			// The client never got a complete response; counting a class
-			// would double-book against the load generator's error count.
-			g.metrics.abortedMidStream.Add(1)
-		} else {
-			g.metrics.countResponse(status)
-		}
+	if rec.Aborted {
+		// The client never got a complete response; counting a class
+		// would double-book against the load generator's error count.
+		g.metrics.abortedMidStream.Add(1)
+		return
 	}
-	g.access.log(accessRecord{
-		Time:      start.UTC().Format(time.RFC3339Nano),
-		RequestID: rid,
-		Method:    r.Method,
-		Path:      r.URL.Path,
-		Route:     route,
-		Status:    status,
-		Duration:  time.Since(start).Round(time.Microsecond).String(),
-		BytesOut:  cw.bytes,
-		BytesIn:   r.ContentLength,
-		Remote:    r.RemoteAddr,
-		Aborted:   aborted,
-	})
+	g.metrics.countResponse(rec.Status)
 }
 
 // handleHealthz is gateway liveness: alive as long as the process serves.
@@ -349,65 +302,4 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"ready_backends": ready,
 		"backends":       len(g.backends),
 	})
-}
-
-// ensureRequestID propagates or mints the request ID and echoes it.
-func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
-	if id == "" || len(id) > 128 {
-		var raw [8]byte
-		rand.Read(raw[:])
-		id = hex.EncodeToString(raw[:])
-		r.Header.Set("X-Request-ID", id) // forwarded upstream as-is
-	}
-	w.Header().Set("X-Request-ID", id)
-	return id
-}
-
-// countingWriter records status and body bytes for the access log and the
-// response-class counters, and exposes whether the status line is on the
-// wire (the abort path needs to know).
-type countingWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (c *countingWriter) WriteHeader(status int) {
-	if !c.wrote {
-		c.wrote = true
-		c.status = status
-		c.ResponseWriter.WriteHeader(status)
-	}
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if !c.wrote {
-		c.wrote = true
-		c.status = http.StatusOK
-	}
-	n, err := c.ResponseWriter.Write(p)
-	c.bytes += int64(n)
-	return n, err
-}
-
-func (c *countingWriter) Flush() {
-	if f, ok := c.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (c *countingWriter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
-
-// writeError emits the same JSON error shape positd uses, so clients see
-// one error contract whether the gateway or the backend answered.
-func writeError(w http.ResponseWriter, status int, kind, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	blob, _ := json.Marshal(struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind"`
-	}{Error: msg, Kind: kind})
-	w.Write(append(blob, '\n'))
 }

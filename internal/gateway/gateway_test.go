@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/resilience"
 )
 
@@ -106,7 +107,7 @@ func TestProxyRetriesOn5xx(t *testing.T) {
 	var hits0, hits1 atomic.Int64
 	b0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits0.Add(1)
-		writeError(w, http.StatusInternalServerError, "boom", "injected")
+		httpshell.WriteError(w, http.StatusInternalServerError, "boom", "injected")
 	}))
 	defer b0.Close()
 	b1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +161,7 @@ func TestProxyRetriesDeadBackend(t *testing.T) {
 func TestProxy429ForwardedOnExhaustion(t *testing.T) {
 	shed := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
-		writeError(w, http.StatusTooManyRequests, "saturated", "at limit")
+		httpshell.WriteError(w, http.StatusTooManyRequests, "saturated", "at limit")
 	}
 	b0 := httptest.NewServer(http.HandlerFunc(shed))
 	defer b0.Close()
@@ -192,7 +193,7 @@ func TestProxy4xxNotRetried(t *testing.T) {
 	var hits atomic.Int64
 	b0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeError(w, http.StatusNotFound, "unknown_codec", "no such codec")
+		httpshell.WriteError(w, http.StatusNotFound, "unknown_codec", "no such codec")
 	}))
 	defer b0.Close()
 	b1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +299,7 @@ func TestProxyOversizedBodyNotRetried(t *testing.T) {
 	b0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits0.Add(1)
 		io.Copy(io.Discard, r.Body)
-		writeError(w, http.StatusInternalServerError, "boom", "injected")
+		httpshell.WriteError(w, http.StatusInternalServerError, "boom", "injected")
 	}))
 	defer b0.Close()
 	b1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -439,7 +440,7 @@ func TestProxyBreakerSkipsOpenBackend(t *testing.T) {
 	var hitsBad atomic.Int64
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hitsBad.Add(1)
-		writeError(w, http.StatusInternalServerError, "boom", "injected")
+		httpshell.WriteError(w, http.StatusInternalServerError, "boom", "injected")
 	}))
 	defer bad.Close()
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -2,11 +2,12 @@ package gateway
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"positbench/internal/httpshell"
 )
 
 // gwMetrics is the gateway's counter registry. Response-class counters are
@@ -69,16 +70,12 @@ func (m *gwMetrics) autoChosenSnapshot() map[string]int64 {
 	return out
 }
 
-// statusClientClosedRequest mirrors positd's taxonomy for "the client went
-// away before we could answer" (nginx's 499).
-const statusClientClosedRequest = 499
-
 // countResponse accounts one fully-delivered proxied response.
 func (m *gwMetrics) countResponse(status int) {
 	switch {
 	case status >= 500:
 		m.responses5xx.Add(1)
-	case status == statusClientClosedRequest:
+	case status == httpshell.StatusClientClosedRequest:
 		m.responses499.Add(1)
 	case status == http.StatusTooManyRequests:
 		m.responses429.Add(1)
@@ -177,35 +174,4 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(g.snapshot())
-}
-
-// accessRecord is one structured access-log line.
-type accessRecord struct {
-	Time      string `json:"ts"`
-	RequestID string `json:"request_id"`
-	Method    string `json:"method"`
-	Path      string `json:"path"`
-	Route     string `json:"route"`
-	Status    int    `json:"status"`
-	Duration  string `json:"dur"`
-	BytesIn   int64  `json:"bytes_in"`
-	BytesOut  int64  `json:"bytes_out"`
-	Remote    string `json:"remote,omitempty"`
-	Aborted   bool   `json:"aborted,omitempty"`
-}
-
-// accessLogger serializes JSON lines to one writer.
-type accessLogger struct {
-	mu  sync.Mutex
-	dst io.Writer
-}
-
-func (l *accessLogger) log(rec accessRecord) {
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dst.Write(append(blob, '\n'))
 }

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/resilience"
 	"positbench/internal/trace"
 )
@@ -46,14 +48,14 @@ func (u *upstream) dispose() {
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	var sp *trace.Span
 	if g.tracer != nil {
-		sp = g.tracer.Start("proxy", r.Header.Get("X-Request-ID"))
+		sp = g.tracer.Start("proxy", httpshell.RequestID(r.Context()))
 		sp.Annotate("path", r.URL.Path)
 		defer sp.End()
 	}
 
 	body, overflowed, err := readUpTo(r.Body, g.cfg.MaxBufferBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "body_read", err.Error())
+		httpshell.WriteError(w, http.StatusBadRequest, "body_read", err.Error())
 		return
 	}
 	if isAutoCompress(r) {
@@ -152,7 +154,7 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, body []b
 	if err != nil {
 		if r.Context().Err() != nil {
 			sp.Annotate("outcome", "client_gone")
-			writeError(w, statusClientClosedRequest, "client_closed_request",
+			httpshell.WriteError(w, httpshell.StatusClientClosedRequest, "client_closed_request",
 				"client went away before a backend answered")
 			return
 		}
@@ -168,7 +170,7 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, body []b
 		}
 		sp.Annotate("outcome", "no_backend")
 		g.metrics.noBackend.Add(1)
-		writeError(w, http.StatusBadGateway, "no_backend", err.Error())
+		httpshell.WriteError(w, http.StatusBadGateway, "no_backend", err.Error())
 		return
 	}
 
@@ -184,7 +186,7 @@ func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix 
 	b, forced := g.claim(st)
 	if b == nil {
 		g.metrics.noBackend.Add(1)
-		writeError(w, http.StatusBadGateway, "no_backend", errNoBackend.Error())
+		httpshell.WriteError(w, http.StatusBadGateway, "no_backend", errNoBackend.Error())
 		return
 	}
 	b.requests.Add(1)
@@ -203,7 +205,7 @@ func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix 
 	if err != nil {
 		b.breaker.Record(false)
 		b.failures.Add(1)
-		writeError(w, http.StatusBadGateway, "upstream_failure", err.Error())
+		httpshell.WriteError(w, http.StatusBadGateway, "upstream_failure", err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -396,12 +398,12 @@ func stripHopByHop(h http.Header) {
 	}
 }
 
-// copyRelayHeaders copies end-to-end response headers to the client.
+// copyRelayHeaders copies end-to-end response headers to the client. A
+// key the backend sent replaces the gateway's own value for it, so the
+// X-Request-ID both hops set reaches the client once.
 func copyRelayHeaders(dst http.Header, src map[string][]string) {
 	for k, vv := range src {
-		for _, v := range vv {
-			dst.Add(k, v)
-		}
+		dst[k] = slices.Clone(vv)
 	}
 	stripHopByHop(dst)
 }

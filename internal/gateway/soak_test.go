@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/load"
 	"positbench/internal/server"
 )
@@ -83,7 +84,7 @@ func (b *degradableBackend) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if b.broken.Load() {
 			io.Copy(io.Discard, r.Body)
-			writeError(w, http.StatusServiceUnavailable, "degraded", "chaos 503 injection")
+			httpshell.WriteError(w, http.StatusServiceUnavailable, "degraded", "chaos 503 injection")
 			return
 		}
 		next.ServeHTTP(w, r)

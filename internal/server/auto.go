@@ -10,6 +10,7 @@ import (
 
 	"positbench/internal/compress"
 	"positbench/internal/container"
+	"positbench/internal/httpshell"
 	"positbench/internal/trace"
 )
 
@@ -74,7 +75,7 @@ func (s *Server) handleAuto(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cw := w.(*countingWriter) // installed by shell on every route
+	cw := w.(*httpshell.Writer) // installed by shell on every route
 	// See handleCompress: frames stream out while the body is still being
 	// read, which needs full duplex on HTTP/1.
 	_ = http.NewResponseController(w).EnableFullDuplex()
@@ -101,5 +102,5 @@ func (s *Server) handleAuto(w http.ResponseWriter, r *http.Request) {
 		s.abortStream(cw, r, err)
 		return
 	}
-	s.metrics.recordCodec(dec.Codec, "auto", time.Since(start), total, cw.bytes)
+	s.metrics.recordCodec(dec.Codec, "auto", time.Since(start), total, cw.BytesOut())
 }

@@ -12,6 +12,7 @@ import (
 
 	"positbench/internal/compress"
 	"positbench/internal/container"
+	"positbench/internal/httpshell"
 	"positbench/internal/ieee"
 	"positbench/internal/posit"
 	"positbench/internal/sdrbench"
@@ -32,7 +33,7 @@ const (
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	codec, ok := s.codec(r.PathValue("codec"))
 	if !ok {
-		writeErrorStatus(w, http.StatusNotFound, "unknown_codec",
+		httpshell.WriteError(w, http.StatusNotFound, "unknown_codec",
 			fmt.Sprintf("unknown codec %q (have %v)", r.PathValue("codec"), s.names))
 		return
 	}
@@ -53,7 +54,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	cw := w.(*countingWriter) // installed by shell on every route
+	cw := w.(*httpshell.Writer) // installed by shell on every route
 	// The handler reads the body while frames stream out; HTTP/1 closes the
 	// request body on first response write unless full duplex is on.
 	_ = http.NewResponseController(w).EnableFullDuplex()
@@ -79,7 +80,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		s.abortStream(cw, r, err)
 		return
 	}
-	s.metrics.recordCodec(codec.Name(), "compress", time.Since(start), n, cw.bytes)
+	s.metrics.recordCodec(codec.Name(), "compress", time.Since(start), n, cw.BytesOut())
 }
 
 // handleDecompress inverts handleCompress: the codec is identified from
@@ -111,11 +112,11 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 	codec, ok := s.codec(name)
 	if !ok {
-		writeErrorStatus(w, http.StatusBadRequest, "unknown_codec",
+		httpshell.WriteError(w, http.StatusBadRequest, "unknown_codec",
 			fmt.Sprintf("stream names codec %q, registry has %v", name, s.names))
 		return
 	}
-	cw := w.(*countingWriter)
+	cw := w.(*httpshell.Writer)
 	w.Header().Set("Content-Type", contentTypeBinary)
 	w.Header().Set("X-Positd-Codec", name)
 
@@ -153,15 +154,15 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// EOF; surface it here so the connection stays safely reusable.
 		drainBody(cw, r)
 	}
-	s.metrics.recordCodec(name, "decompress", time.Since(start), bytesIn, cw.bytes)
+	s.metrics.recordCodec(name, "decompress", time.Since(start), bytesIn, cw.BytesOut())
 }
 
 // abortStream ends a request whose data plane failed. If the status line
 // has not been sent the error maps to a proper status; once bytes are on
 // the wire the only honest signal left is killing the connection so the
 // client cannot mistake a truncated body for a complete one.
-func (s *Server) abortStream(cw *countingWriter, r *http.Request, err error) {
-	if !cw.wrote {
+func (s *Server) abortStream(cw *httpshell.Writer, r *http.Request, err error) {
+	if !cw.Wrote() {
 		drainBody(cw, r)
 		writeError(cw, err)
 		return
@@ -189,14 +190,14 @@ const maxDrainBytes = 256 << 10
 // EOF itself. A remainder past maxDrainBytes is not worth reading just for
 // reuse: the response is marked Connection: close while the status line is
 // unsent, else the connection is aborted outright.
-func drainBody(cw *countingWriter, r *http.Request) {
+func drainBody(cw *httpshell.Writer, r *http.Request) {
 	n, err := io.Copy(io.Discard, io.LimitReader(r.Body, maxDrainBytes+1))
 	if err != nil || n <= maxDrainBytes {
 		// EOF reached (LimitReader masks it as a clean stop), or the body
 		// read failed — a dead connection has no reuse to protect.
 		return
 	}
-	if !cw.wrote {
+	if !cw.Wrote() {
 		cw.Header().Set("Connection", "close")
 		return
 	}
@@ -292,13 +293,13 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n < 2 || n > 32 || es < 0 || es > 8 {
-		writeErrorStatus(w, http.StatusBadRequest, "bad_param",
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_param",
 			fmt.Sprintf("posit<%d,%d> outside the supported range (2 <= n <= 32, 0 <= es <= 8)", n, es))
 		return
 	}
 	cfg := posit.Config{N: uint(n), ES: uint(es)}
 	if err := cfg.Validate(); err != nil {
-		writeErrorStatus(w, http.StatusBadRequest, "bad_param", err.Error())
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_param", err.Error())
 		return
 	}
 	workers, err := s.requestWorkers(r)
@@ -342,7 +343,7 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		}
 		words, err := posit.DecodeWordsLE(data)
 		if err != nil {
-			writeErrorStatus(w, http.StatusBadRequest, "misaligned_input", err.Error())
+			httpshell.WriteError(w, http.StatusBadRequest, "misaligned_input", err.Error())
 			return
 		}
 		floats := cfg.ToFloat32SliceWorkers(nil, words, workers)
@@ -350,7 +351,7 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(headerValues, fmt.Sprint(len(floats)))
 		w.Write(posit.EncodeFloat32LE(floats))
 	default:
-		writeErrorStatus(w, http.StatusBadRequest, "bad_param",
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_param",
 			fmt.Sprintf("?to=%q: want \"posit\" or \"float32\"", to))
 	}
 }
@@ -399,7 +400,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := posit.Config{N: 32, ES: uint(es)}
 	if err := cfg.Validate(); err != nil {
-		writeErrorStatus(w, http.StatusBadRequest, "bad_param", err.Error())
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_param", err.Error())
 		return
 	}
 	workers, err := s.requestWorkers(r)

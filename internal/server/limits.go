@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 	"strconv"
 
 	"positbench/internal/compress"
+	"positbench/internal/httpshell"
 	"positbench/internal/sdrbench"
 )
 
@@ -22,12 +22,6 @@ import (
 //	ErrLimitExceeded, body over cap                       -> 413
 //	request deadline expired                              -> 408
 //	client disconnected                                   -> 499 (logged only)
-
-// apiError is the JSON error body every non-2xx API response carries.
-type apiError struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
 
 // statusFor triages an error into an HTTP status and a stable machine-
 // readable kind. Order matters: the most specific sentinels are tested
@@ -56,34 +50,21 @@ func statusFor(err error) (int, string) {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
 		return http.StatusRequestTimeout, "deadline_exceeded"
 	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest, "client_closed_request"
+		return httpshell.StatusClientClosedRequest, "client_closed_request"
 	default:
 		return http.StatusInternalServerError, "internal"
 	}
 }
 
-// statusClientClosedRequest is nginx's conventional status for a client
-// that went away; it never reaches the wire but keeps logs and metrics
-// honest about whose fault the abort was.
-const statusClientClosedRequest = 499
-
-// writeError sends the JSON error body for err.
+// writeError sends the JSON error body for err, triaged by statusFor.
 func writeError(w http.ResponseWriter, err error) {
 	status, kind := statusFor(err)
-	writeErrorStatus(w, status, kind, err.Error())
-}
-
-// writeErrorStatus sends a JSON error body with an explicit status.
-func writeErrorStatus(w http.ResponseWriter, status int, kind, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	blob, _ := json.Marshal(apiError{Error: msg, Kind: kind})
-	w.Write(append(blob, '\n'))
+	httpshell.WriteError(w, status, kind, err.Error())
 }
 
 // badParam reports an unusable query parameter.
 func badParam(w http.ResponseWriter, name string, err error) {
-	writeErrorStatus(w, http.StatusBadRequest, "bad_param", fmt.Sprintf("query parameter %q: %v", name, err))
+	httpshell.WriteError(w, http.StatusBadRequest, "bad_param", fmt.Sprintf("query parameter %q: %v", name, err))
 }
 
 // intParam parses an optional integer query parameter, returning def when

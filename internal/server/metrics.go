@@ -11,6 +11,7 @@ import (
 	"positbench/internal/advisor"
 	"positbench/internal/chunkcache"
 	"positbench/internal/compress"
+	"positbench/internal/httpshell"
 	"positbench/internal/stats"
 )
 
@@ -55,7 +56,7 @@ func statusClass(status int) string {
 	switch {
 	case status >= 500:
 		return "5xx"
-	case status == statusClientClosedRequest:
+	case status == httpshell.StatusClientClosedRequest:
 		return "499"
 	case status >= 400:
 		return "4xx"
@@ -66,18 +67,19 @@ func statusClass(status int) string {
 	}
 }
 
-// recordRequest accounts one finished request on its route.
-func (m *metrics) recordRequest(route string, status int, d time.Duration, bytesOut int64) {
+// recordRequest accounts one finished request on its route; the shell
+// calls it for every request it wraps.
+func (m *metrics) recordRequest(rec httpshell.Record, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rs := m.routes[route]
+	rs := m.routes[rec.Route]
 	if rs == nil {
 		rs = &routeStats{ByClass: map[string]int64{}}
-		m.routes[route] = rs
+		m.routes[rec.Route] = rs
 	}
 	rs.Total++
-	rs.ByClass[statusClass(status)]++
-	rs.BytesOut += bytesOut
+	rs.ByClass[statusClass(rec.Status)]++
+	rs.BytesOut += rec.BytesOut
 	rs.lat.Observe(d)
 }
 

@@ -2,105 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
+
+	"positbench/internal/httpshell"
 )
-
-// countingWriter wraps the ResponseWriter to record status and body bytes
-// for metrics and the access log, and to let streaming handlers know
-// whether the status line is already on the wire.
-type countingWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (c *countingWriter) WriteHeader(status int) {
-	if !c.wrote {
-		c.wrote = true
-		c.status = status
-		c.ResponseWriter.WriteHeader(status)
-	}
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if !c.wrote {
-		c.wrote = true
-		c.status = http.StatusOK
-	}
-	n, err := c.ResponseWriter.Write(p)
-	c.bytes += int64(n)
-	return n, err
-}
-
-// Flush passes http.Flusher through so streamed responses are not held
-// back by the wrapper.
-func (c *countingWriter) Flush() {
-	if f, ok := c.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController, which
-// the deadline middleware and the full-duplex streaming handlers depend on.
-func (c *countingWriter) Unwrap() http.ResponseWriter {
-	return c.ResponseWriter
-}
-
-// shell is the outermost middleware on every route: panic recovery,
-// per-route metrics, and the structured access log.
-func (s *Server) shell(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cw := &countingWriter{ResponseWriter: w}
-		r, rid := ensureRequestID(cw, r)
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				if p == http.ErrAbortHandler {
-					// A streaming handler aborted mid-body on purpose;
-					// account for it, then let net/http kill the
-					// connection.
-					s.finish(route, cw, r, start, rid)
-					panic(p)
-				}
-				// Anything else is a bug: answer 500 if the status line
-				// has not been sent, and always keep serving.
-				if !cw.wrote {
-					writeErrorStatus(cw, http.StatusInternalServerError, "panic", "internal error")
-				}
-			}
-			s.finish(route, cw, r, start, rid)
-		}()
-		next.ServeHTTP(cw, r)
-	})
-}
-
-// finish records one completed request in metrics and the access log.
-func (s *Server) finish(route string, cw *countingWriter, r *http.Request, start time.Time, rid string) {
-	status := cw.status
-	if !cw.wrote {
-		status = http.StatusOK // handler sent nothing; net/http will 200
-	}
-	elapsed := time.Since(start)
-	s.metrics.recordRequest(route, status, elapsed, cw.bytes)
-	s.access.log(accessRecord{
-		Time:      start.UTC().Format(time.RFC3339Nano),
-		RequestID: rid,
-		Method:    r.Method,
-		Path:      r.URL.Path,
-		Route:     route,
-		Status:    status,
-		Duration:  elapsed.Round(time.Microsecond).String(),
-		BytesOut:  cw.bytes,
-		BytesIn:   r.ContentLength,
-		Remote:    r.RemoteAddr,
-	})
-}
 
 // admit applies the bounded admission semaphore: requests beyond
 // MaxInflight are shed immediately with 429 + Retry-After rather than
@@ -117,7 +24,7 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		default:
 			s.metrics.rejected.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			writeErrorStatus(w, http.StatusTooManyRequests, "saturated",
+			httpshell.WriteError(w, http.StatusTooManyRequests, "saturated",
 				"server is at its in-flight request limit")
 		}
 	})
@@ -151,34 +58,4 @@ func (s *Server) deadline(next http.Handler) http.Handler {
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout + writeDeadlineSlack))
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
-}
-
-// accessRecord is one structured access-log line.
-type accessRecord struct {
-	Time      string `json:"ts"`
-	RequestID string `json:"request_id"`
-	Method    string `json:"method"`
-	Path      string `json:"path"`
-	Route     string `json:"route"`
-	Status    int    `json:"status"`
-	Duration  string `json:"dur"`
-	BytesIn   int64  `json:"bytes_in"`
-	BytesOut  int64  `json:"bytes_out"`
-	Remote    string `json:"remote,omitempty"`
-}
-
-// accessLogger serializes JSON lines to one writer.
-type accessLogger struct {
-	mu  sync.Mutex
-	dst io.Writer
-}
-
-func (l *accessLogger) log(rec accessRecord) {
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dst.Write(append(blob, '\n'))
 }

@@ -16,6 +16,7 @@ import (
 
 	"positbench/internal/compress"
 	"positbench/internal/container"
+	"positbench/internal/httpshell"
 	"positbench/internal/trace"
 )
 
@@ -195,7 +196,7 @@ func metaFor(obj *storedObject) objectMeta {
 func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validObjectKey(key) {
-		writeErrorStatus(w, http.StatusBadRequest, "bad_key",
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_key",
 			fmt.Sprintf("object key %q: want 1-%d chars of [a-zA-Z0-9._-]", key, maxObjectKeyLen))
 		return
 	}
@@ -209,7 +210,7 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(data) == 0 {
-		writeErrorStatus(w, http.StatusBadRequest, "empty_object", "refusing to store an empty object")
+		httpshell.WriteError(w, http.StatusBadRequest, "empty_object", "refusing to store an empty object")
 		return
 	}
 
@@ -219,7 +220,7 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, ok := s.codec(name); !ok {
-		writeErrorStatus(w, http.StatusBadRequest, "unknown_codec",
+		httpshell.WriteError(w, http.StatusBadRequest, "unknown_codec",
 			fmt.Sprintf("object names codec %q, registry has %v", name, s.names))
 		return
 	}
@@ -239,7 +240,7 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := s.store.put(obj); err != nil {
-		writeErrorStatus(w, http.StatusInsufficientStorage, "store_full", err.Error())
+		httpshell.WriteError(w, http.StatusInsufficientStorage, "store_full", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -251,7 +252,7 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatObject(w http.ResponseWriter, r *http.Request) {
 	obj, ok := s.store.get(r.PathValue("key"))
 	if !ok {
-		writeErrorStatus(w, http.StatusNotFound, "unknown_object",
+		httpshell.WriteError(w, http.StatusNotFound, "unknown_object",
 			fmt.Sprintf("no object %q", r.PathValue("key")))
 		return
 	}
@@ -348,13 +349,13 @@ func resolveRangeHeader(hdr string, size int64) (win readWindow, ok bool, err er
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	obj, ok := s.store.get(r.PathValue("key"))
 	if !ok {
-		writeErrorStatus(w, http.StatusNotFound, "unknown_object",
+		httpshell.WriteError(w, http.StatusNotFound, "unknown_object",
 			fmt.Sprintf("no object %q", r.PathValue("key")))
 		return
 	}
 	codec, ok := s.codec(obj.codec)
 	if !ok {
-		writeErrorStatus(w, http.StatusBadRequest, "unknown_codec",
+		httpshell.WriteError(w, http.StatusBadRequest, "unknown_codec",
 			fmt.Sprintf("object was stored with codec %q, registry has %v", obj.codec, s.names))
 		return
 	}
@@ -368,7 +369,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		badParam(w, "workers", err)
 		return
 	}
-	cw := w.(*countingWriter)
+	cw := w.(*httpshell.Writer)
 	start := time.Now()
 
 	if obj.index == nil {
@@ -378,13 +379,13 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 
 	win, satisfiable, err := resolveWindow(r, obj.index.RawLen)
 	if err != nil {
-		writeErrorStatus(w, http.StatusBadRequest, "bad_param", err.Error())
+		httpshell.WriteError(w, http.StatusBadRequest, "bad_param", err.Error())
 		return
 	}
 	if !satisfiable {
 		s.store.unsatisfied.Add(1)
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", obj.index.RawLen))
-		writeErrorStatus(w, http.StatusRequestedRangeNotSatisfiable, "unsatisfiable_range",
+		httpshell.WriteError(w, http.StatusRequestedRangeNotSatisfiable, "unsatisfiable_range",
 			fmt.Sprintf("requested window misses the %d-byte object", obj.index.RawLen))
 		return
 	}
@@ -441,7 +442,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 // readSequential is the fallback for objects without an index trailer:
 // every read — ranged or not — decodes the whole object front to back and
 // answers 200, the pinned v1 contract.
-func (s *Server) readSequential(cw *countingWriter, r *http.Request, obj *storedObject, codec compress.Codec, lim compress.DecodeLimits, workers int, start time.Time) {
+func (s *Server) readSequential(cw *httpshell.Writer, r *http.Request, obj *storedObject, codec compress.Codec, lim compress.DecodeLimits, workers int, start time.Time) {
 	sp := trace.FromContext(r.Context()).Child("range-read")
 	sp.Annotate("key", obj.key)
 	sp.Annotate("fallback", "sequential")

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -35,6 +34,7 @@ import (
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
+	"positbench/internal/httpshell"
 	"positbench/internal/lc"
 	"positbench/internal/trace"
 )
@@ -103,7 +103,7 @@ type Server struct {
 	names   []string // registry order, for /v1/codecs
 	sem     chan struct{}
 	metrics *metrics
-	access  *accessLogger
+	shell   *httpshell.Shell
 	tracer  *trace.Tracer // nil when tracing is disabled
 	advisor *advisor.Advisor
 	ready   atomic.Bool // GET /readyz verdict; see SetReady
@@ -135,9 +135,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.AccessLog == nil {
-		cfg.AccessLog = os.Stderr
-	}
 	if cfg.MaxStoreBytes <= 0 {
 		cfg.MaxStoreBytes = DefaultMaxStoreBytes
 	}
@@ -149,9 +146,9 @@ func New(cfg Config) (*Server, error) {
 		codecs:  make(map[string]compress.Codec, len(cfg.Codecs)),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		metrics: newMetrics(),
-		access:  &accessLogger{dst: cfg.AccessLog},
 		store:   newObjectStore(cfg.MaxStoreBytes),
 	}
+	s.shell = httpshell.New(cfg.AccessLog, s.metrics.recordRequest)
 	if cfg.ChunkCacheBytes > 0 {
 		s.chunkCache = chunkcache.New(cfg.ChunkCacheBytes)
 	}
@@ -203,10 +200,10 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	api := func(route string, h http.HandlerFunc) http.Handler {
 		// Innermost to outermost: deadline, admission, tracing, then the
-		// accounting/log/recovery shell shared with the ops routes. The
+		// request-ID/log/recovery shell shared with the ops routes. The
 		// root span sits outside admission so shed requests still leave a
 		// (tiny) trace, and inside the shell so the request ID exists.
-		return s.shell(route, s.traced(route, s.admit(s.deadline(h))))
+		return s.shell.Wrap(route, s.traced(route, s.admit(s.deadline(h))))
 	}
 	mux.Handle("POST /v1/compress/auto", api("auto", s.handleAuto))
 	mux.Handle("POST /v1/compress/{codec}", api("compress", s.handleCompress))
@@ -214,14 +211,14 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/convert", api("convert", s.handleConvert))
 	mux.Handle("POST /v1/analyze", api("analyze", s.handleAnalyze))
 	mux.Handle("PUT /v1/objects/{key}", api("put_object", s.handlePutObject))
-	mux.Handle("GET /v1/objects/{key}", s.shell("stat_object", http.HandlerFunc(s.handleStatObject)))
+	mux.Handle("GET /v1/objects/{key}", s.shell.Wrap("stat_object", http.HandlerFunc(s.handleStatObject)))
 	mux.Handle("GET /v1/read/{key}", api("read", s.handleRead))
-	mux.Handle("GET /v1/codecs", s.shell("codecs", http.HandlerFunc(s.handleCodecs)))
+	mux.Handle("GET /v1/codecs", s.shell.Wrap("codecs", http.HandlerFunc(s.handleCodecs)))
 	// Ops endpoints bypass admission and deadlines: a saturated or
 	// draining server must still answer its probes.
-	mux.Handle("GET /healthz", s.shell("healthz", http.HandlerFunc(s.handleHealthz)))
-	mux.Handle("GET /readyz", s.shell("readyz", http.HandlerFunc(s.handleReadyz)))
-	mux.Handle("GET /metrics", s.shell("metrics", http.HandlerFunc(s.handleMetrics)))
+	mux.Handle("GET /healthz", s.shell.Wrap("healthz", http.HandlerFunc(s.handleHealthz)))
+	mux.Handle("GET /readyz", s.shell.Wrap("readyz", http.HandlerFunc(s.handleReadyz)))
+	mux.Handle("GET /metrics", s.shell.Wrap("metrics", http.HandlerFunc(s.handleMetrics)))
 	return mux
 }
 

@@ -16,6 +16,7 @@ import (
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
+	"positbench/internal/httpshell"
 	"positbench/internal/posit"
 )
 
@@ -70,7 +71,7 @@ func wantAPIError(t *testing.T, resp *http.Response, body []byte, status int, ki
 	if resp.StatusCode != status {
 		t.Fatalf("status = %d (%s), want %d", resp.StatusCode, bytes.TrimSpace(body), status)
 	}
-	var ae apiError
+	var ae httpshell.ErrorBody
 	if err := json.Unmarshal(body, &ae); err != nil {
 		t.Fatalf("error body %q is not JSON: %v", body, err)
 	}
@@ -495,12 +496,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 // shared map is a reported race; without it, a crash at worst.
 func TestMetricsSnapshotWhileRecording(t *testing.T) {
 	m := newMetrics()
-	m.recordRequest("compress", http.StatusOK, time.Millisecond, 1)
+	m.recordRequest(httpshell.Record{Route: "compress", Status: http.StatusOK, BytesOut: 1}, time.Millisecond)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			m.recordRequest("compress", 200+i%300, time.Millisecond, 1)
+			m.recordRequest(httpshell.Record{Route: "compress", Status: 200 + i%300, BytesOut: 1}, time.Millisecond)
 		}
 	}()
 	for i := 0; i < 1000; i++ {
@@ -518,7 +519,7 @@ func TestAccessLogWritesJSONLines(t *testing.T) {
 		t.Fatalf("compress failed")
 	}
 	line := strings.TrimSpace(buf.String())
-	var rec accessRecord
+	var rec httpshell.Record
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("access log line %q not JSON: %v", line, err)
 	}
@@ -527,8 +528,53 @@ func TestAccessLogWritesJSONLines(t *testing.T) {
 	}
 }
 
-// syncBuffer is a mutex-free stand-in safe here because accessLogger already
-// serializes writes; reads happen only after the response returns.
+// The access log's bytes_in counts the body bytes the handler read, not
+// the declared Content-Length: a chunked upload (no declared length) logs
+// its true size, and a body refused on its declared length before any read
+// logs 0.
+func TestAccessLogBytesIn(t *testing.T) {
+	var buf syncBuffer
+	_, ts := newTestServer(t, Config{AccessLog: &buf, MaxBodyBytes: 1 << 20})
+
+	small := sampleF32(4 << 10) // 16 KiB
+	req, err := http.NewRequest("POST", ts.URL+"/v1/compress/gzip", struct{ io.Reader }{bytes.NewReader(small)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked compress = %d, want 200", resp.StatusCode)
+	}
+	resp, body := postBytes(t, ts.URL+"/v1/compress/gzip", make([]byte, 2<<20))
+	wantAPIError(t, resp, body, http.StatusRequestEntityTooLarge, "body_too_large")
+
+	var recs []httpshell.Record
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec httpshell.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("access log line %q not JSON: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("got %d access records, want 2: %+v", len(recs), recs)
+	}
+	if recs[0].BytesIn != int64(len(small)) {
+		t.Errorf("chunked upload logged bytes_in %d, want %d", recs[0].BytesIn, len(small))
+	}
+	if recs[1].Status != http.StatusRequestEntityTooLarge || recs[1].BytesIn != 0 {
+		t.Errorf("refused body logged status %d bytes_in %d, want 413 and 0", recs[1].Status, recs[1].BytesIn)
+	}
+}
+
+// syncBuffer is a mutex-free stand-in safe here because the shell's access
+// log already serializes writes; reads happen only after the response
+// returns.
 type syncBuffer struct{ bytes.Buffer }
 
 func TestRequestDeadline(t *testing.T) {

@@ -1,71 +1,12 @@
 package server
 
 import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 
+	"positbench/internal/httpshell"
 	"positbench/internal/trace"
 )
-
-// Request IDs tie the three observability surfaces together: the client
-// sees X-Request-ID echoed on the response, the access log carries it per
-// line, and the trace ring keys each captured trace by it. An incoming
-// header is honored when it is well-formed (so a caller can stitch positd
-// into its own distributed trace); anything else gets a fresh random ID.
-
-type ridKey struct{}
-
-// maxRequestIDLen bounds what we accept from the wire; longer IDs are
-// replaced, not truncated, so an ID in the log always matches the client's.
-const maxRequestIDLen = 64
-
-// validRequestID accepts the unreserved URL characters, which covers
-// UUIDs, ULIDs, and hex IDs while keeping log lines and JSON clean.
-func validRequestID(id string) bool {
-	if id == "" || len(id) > maxRequestIDLen {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '-' || c == '_' || c == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// newRequestID returns a 16-hex-char random ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rid-unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// ensureRequestID resolves the request's ID (propagating a valid inbound
-// X-Request-ID, minting one otherwise), echoes it on the response, and
-// stores it in the request context for the access log and tracer.
-func ensureRequestID(w http.ResponseWriter, r *http.Request) (*http.Request, string) {
-	id := r.Header.Get("X-Request-ID")
-	if !validRequestID(id) {
-		id = newRequestID()
-	}
-	w.Header().Set("X-Request-ID", id)
-	return r.WithContext(context.WithValue(r.Context(), ridKey{}, id)), id
-}
-
-// requestIDFrom recovers the ID stored by ensureRequestID.
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey{}).(string)
-	return id
-}
 
 // traced starts a root span for the request and threads it through the
 // context, where the parallel engines pick it up chunk by chunk. With
@@ -76,7 +17,7 @@ func (s *Server) traced(route string, next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sp := s.tracer.Start(route, requestIDFrom(r.Context()))
+		sp := s.tracer.Start(route, httpshell.RequestID(r.Context()))
 		sp.Annotate("path", r.URL.Path)
 		defer sp.End()
 		next.ServeHTTP(w, r.WithContext(trace.NewContext(r.Context(), sp)))
