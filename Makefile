@@ -7,12 +7,12 @@
 #   make race        unit tests under the race detector
 #   make fuzz-smoke  10 s of fuzzing per fuzz target (seeded with
 #                    known-bad frames; catches decode-path panics fast)
-#   make race-twice  the concurrency-sensitive packages (chunk engine,
-#                    predictive codecs, positd, the advisor, the container
-#                    and chunk cache, resilience and positgw with its chaos
-#                    soak) under the race detector, run twice: the second
-#                    run sees different goroutine schedules, which is what
-#                    shakes out ordering bugs
+#   make race-twice  the concurrency-sensitive packages (worker pool, chunk
+#                    engine, predictive codecs, positd, the advisor, the
+#                    container and chunk cache, resilience and positgw with
+#                    its chaos soak) under the race detector, run twice:
+#                    the second run sees different goroutine schedules,
+#                    which is what shakes out ordering bugs
 #   make e2e         the process-level soaks (internal/e2e, build tag
 #                    e2e): builds positd, race-built positd and positgw,
 #                    and positload once, then runs the burst, auto and
@@ -59,7 +59,7 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The concurrency-sensitive packages, twice under the race detector: the
-# chunk engine and its work-stealing scheduler, the predictive codecs'
+# worker pool and the chunk engine on it, the predictive codecs'
 # pooled predictor state, positd's streaming handlers, the advisor's
 # single-flight decision cache, the chunk cache's single-flight fills and
 # eviction, and the gateway's retries, hedging, breakers, probes and chaos
@@ -68,11 +68,11 @@ race:
 # runs only its stream-layer tests here: a raced pass of the whole tree
 # takes about four times as long.
 race-twice:
-	$(GO) test -race -count=2 ./internal/compress ./internal/predict/... ./internal/positpack/... \
+	$(GO) test -race -count=2 ./internal/pool/... ./internal/compress ./internal/predict/... ./internal/positpack/... \
 		./internal/server/... ./cmd/positd/... ./internal/advisor/... ./cmd/positadvise/... \
 		./internal/container/... ./internal/chunkcache/... \
 		./internal/resilience/... ./internal/gateway/... ./cmd/positgw/...
-	$(GO) test -race -count=2 -run 'Parallel|Stream|Equivalence|PipelineByteIdentity' ./internal/compress/...
+	$(GO) test -race -count=2 -run 'Parallel|Stream|Equivalence|MultiBlockRoundtrip' ./internal/compress/...
 
 # The process-level soaks over real sockets: a positload burst against a
 # race-built positd, the -auto arm against positd, and a range-read burst

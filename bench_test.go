@@ -235,7 +235,7 @@ func BenchmarkAblationBzip2Block(b *testing.B) {
 // pipelines (NUL padding makes shallower pipelines a subset of the search).
 func BenchmarkAblationLCStages(b *testing.B) {
 	data := posit.EncodeFloat32LE(mustInput(b, "einspline.f32"))
-	results, err := lc.SearchAll(data)
+	results, err := lc.SearchAll(data, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,14 +27,13 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
 	"positbench/internal/lc"
+	"positbench/internal/pool"
 	"positbench/internal/stats"
 	"positbench/internal/sweep"
 )
@@ -55,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false,
 		"emit the ratio report as JSON; cell failures are embedded per cell and the exit code is non-zero")
 	verify := fs.Bool("verify", false, "roundtrip-verify every compression")
-	workers := fs.Int("p", 0, "max concurrent file x codec runs (0 = GOMAXPROCS)")
+	workers := fs.Int("p", 0, "max concurrent file x codec runs and LC pipeline trials (0 = GOMAXPROCS)")
 	zName := fs.String("z", "", "compress one file into a framed blob with the named codec")
 	dFlag := fs.Bool("d", false, "decompress a framed blob, routing by its frame header")
 	maxOut := fs.Int64("max-out", 0, "decode size limit in bytes for -d (0 = default)")
@@ -102,9 +101,9 @@ func run(args []string, stdout io.Writer) error {
 		codecs = append(codecs, c)
 	}
 
-	// Every file x codec cell (plus one LC search per file) runs in a
-	// bounded worker pool; results land in per-cell slots so the rendered
-	// table is deterministic regardless of completion order.
+	// Every file x codec cell (plus one LC search per file) is one pool
+	// item; results land in per-cell slots so the rendered table is
+	// deterministic regardless of completion order.
 	nFiles, nCols := len(files), len(codecs)
 	if wantLC {
 		nCols++
@@ -125,23 +124,8 @@ func run(args []string, stdout io.Writer) error {
 			return readErrs[i]
 		}
 	}
-	nw := *workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, nw)
-	var wg sync.WaitGroup
-	runCell := func(idx int, fn func() (cell, error)) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cells[idx], errs[idx] = fn()
-		}()
-	}
+	runCell := make([]func() (cell, error), nFiles*nCols) // nil: the file failed to read
 	for fi := range files {
-		fi := fi
 		if readErrs[fi] != nil {
 			for ci := 0; ci < nCols; ci++ {
 				errs[fi*nCols+ci] = readErrs[fi]
@@ -149,8 +133,7 @@ func run(args []string, stdout io.Writer) error {
 			continue
 		}
 		for ci, c := range codecs {
-			c := c
-			runCell(fi*nCols+ci, func() (cell, error) {
+			runCell[fi*nCols+ci] = func() (cell, error) {
 				var compLen int
 				var err error
 				if *verify {
@@ -165,11 +148,11 @@ func run(args []string, stdout io.Writer) error {
 				}
 				r := compress.Ratio(len(data[fi]), compLen)
 				return cell{ratio: r, label: fmt.Sprintf("%.3f", r)}, nil
-			})
+			}
 		}
 		if wantLC {
-			runCell(fi*nCols+len(codecs), func() (cell, error) {
-				rs, err := lc.SearchAll(data[fi])
+			runCell[fi*nCols+len(codecs)] = func() (cell, error) {
+				rs, err := lc.SearchAll(data[fi], *workers)
 				if err != nil {
 					return cell{}, err
 				}
@@ -185,10 +168,14 @@ func run(args []string, stdout io.Writer) error {
 				}
 				return cell{ratio: best.Ratio, label: fmt.Sprintf("%.3f (%s|%s|%s)",
 					best.Ratio, best.Names[0], best.Names[1], best.Names[2])}, nil
-			})
+			}
 		}
 	}
-	wg.Wait()
+	pool.Run(*workers, len(runCell), func(i int) {
+		if runCell[i] != nil {
+			cells[i], errs[i] = runCell[i]()
+		}
+	})
 	colName := func(ci int) string {
 		if ci < len(codecs) {
 			return codecs[ci].Name()

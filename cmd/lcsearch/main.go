@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		inputs[i] = data
 	}
-	perInput, err := lc.SearchAllMulti(inputs)
+	perInput, err := lc.SearchAllMulti(inputs, 0)
 	if err != nil {
 		return err
 	}

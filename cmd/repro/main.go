@@ -31,7 +31,6 @@ import (
 	"os"
 
 	"positbench/internal/core"
-	"positbench/internal/posit"
 	"positbench/internal/sdrbench"
 )
 
@@ -49,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	exp := fs.String("exp", "all", "experiment to reproduce")
 	values := fs.Int("values", sdrbench.DefaultValues, "float32 values per input")
 	verify := fs.Bool("verify", false, "roundtrip-verify every compression")
-	workers := fs.Int("p", 0, "worker parallelism for input prep and codec runs (0 = GOMAXPROCS)")
+	workers := fs.Int("p", 0, "worker parallelism for input prep, codec runs and the LC search (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "print per-measurement progress")
 	csvDir := fs.String("csv", "", "also write per-figure CSV files into this directory")
 	if err := fs.Parse(args); err != nil {
@@ -77,10 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
-	// -p bounds both the study's goroutines and the posit batch converters
-	// they call into (otherwise each converter fans out to GOMAXPROCS on
-	// its own and the effective parallelism multiplies).
-	posit.SetBatchWorkers(*workers)
 	opts := core.Options{
 		ValuesPerInput: *values,
 		WithLC:         needLC[*exp],

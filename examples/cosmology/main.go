@@ -33,7 +33,7 @@ func main() {
 		name string
 		data []byte
 	}{{"ieee", ieeeBytes}, {"posit", positBytes}} {
-		results, err := lc.SearchAll(enc.data)
+		results, err := lc.SearchAll(enc.data, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

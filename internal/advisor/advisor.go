@@ -13,10 +13,8 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,6 +22,7 @@ import (
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
 	"positbench/internal/lc"
+	"positbench/internal/pool"
 	"positbench/internal/trace"
 )
 
@@ -128,9 +127,6 @@ func New(cfg Config) (*Advisor, error) {
 	}
 	if a.sampleBytes <= 0 {
 		a.sampleBytes = DefaultSampleBytes
-	}
-	if a.workers <= 0 {
-		a.workers = runtime.GOMAXPROCS(0)
 	}
 	size := cfg.CacheSize
 	if size == 0 {
@@ -323,18 +319,9 @@ func (a *Advisor) trial(sample []byte, hints []string, fp Fingerprint, sp *trace
 
 	cands := make([]Candidate, len(specs))
 	if len(sample) > 0 {
-		sem := make(chan struct{}, a.workers)
-		var wg sync.WaitGroup
-		for i, s := range specs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, s candidateSpec) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cands[i] = runTrial(s, sample)
-			}(i, s)
-		}
-		wg.Wait()
+		pool.Run(a.workers, len(specs), func(i int) {
+			cands[i] = runTrial(specs[i], sample)
+		})
 	} else {
 		for i, s := range specs {
 			cands[i] = Candidate{Codec: s.name, Pipeline: s.pipeline, Err: "empty sample"}

@@ -24,6 +24,18 @@ import (
 
 const allocChunk = 64 << 10
 
+// allocWarm is the chunks each gate runs before measuring, and allocWindow
+// the chunks it measures. On the pool path the job, slot and codec pools
+// are filled from one P and drained from the other, so for the first few
+// hundred chunks a sync.Pool still misses now and then; one miss of the
+// gzip encoder pool costs several allocations. The long window averages
+// such a miss well below one allocation per chunk, which is the smallest
+// regression the gates must catch.
+const (
+	allocWarm   = 64
+	allocWindow = 64
+)
+
 // gzipDecodeAllowance is the per-chunk allocation budget for gzip decode.
 // compress/flate allocates link sub-tables inside huffmanDecoder.init for
 // every dynamic-Huffman block with codes longer than 9 bits; that is
@@ -58,6 +70,17 @@ func allocCases() map[string]allocCase {
 	}
 }
 
+// allocEngines are the engine configurations every gate runs: one worker,
+// which the serial fallback serves, and two workers on two Ps, which run
+// the pool path the serving layer takes on a multi-core host.
+var allocEngines = []struct {
+	name           string
+	procs, workers int
+}{
+	{"serial", 0, 1},
+	{"pool", 2, 2},
+}
+
 // allocSlack absorbs stray runtime allocations from the engine's worker
 // goroutines (stack growth, scheduler internals) that land inside the
 // process-wide malloc window. A real per-chunk regression costs at least
@@ -74,6 +97,15 @@ func mallocsPer(count int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(count)
+}
+
+// procs sets GOMAXPROCS to n for the rest of the test; n == 0 leaves it.
+func procs(t *testing.T, n int) {
+	if n == 0 {
+		return
+	}
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // noGC turns the collector off for the remainder of the test, after one
@@ -93,30 +125,35 @@ func TestParallelWriterChunkAllocs(t *testing.T) {
 	src := allocData(allocChunk)
 	for name, tc := range allocCases() {
 		t.Run(name, func(t *testing.T) {
-			noGC(t)
-			w := compress.NewParallelWriter(tc.codec, io.Discard, allocChunk, 1)
-			defer w.Close()
-			// Warm the job pool, the codec's encoder pool, and every buffer
-			// to its steady-state capacity.
-			for i := 0; i < 8; i++ {
-				if _, err := w.Write(src); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := mallocsPer(16, func() {
-				if _, err := w.Write(src); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got > allocSlack {
-				t.Errorf("steady-state compress of one chunk: %.2f allocs, want 0", got)
+			for _, eng := range allocEngines {
+				t.Run(eng.name, func(t *testing.T) {
+					procs(t, eng.procs)
+					noGC(t)
+					w := compress.NewParallelWriter(tc.codec, io.Discard, allocChunk, eng.workers)
+					defer w.Close()
+					// Warm the job pool, the codec's encoder pool, and every
+					// buffer to its steady-state capacity.
+					for i := 0; i < allocWarm; i++ {
+						if _, err := w.Write(src); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got := mallocsPer(allocWindow, func() {
+						if _, err := w.Write(src); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if got > allocSlack {
+						t.Errorf("steady-state compress of one chunk: %.2f allocs, want 0", got)
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestParallelReaderChunkAllocs(t *testing.T) {
-	const chunks = 48
+	const chunks = allocWarm + allocWindow + 1
 	src := allocData(allocChunk)
 	for name, tc := range allocCases() {
 		t.Run(name, func(t *testing.T) {
@@ -130,25 +167,28 @@ func TestParallelReaderChunkAllocs(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			noGC(t)
-			// workers=1 routes through the serial fallback, so this doubles
-			// as the bench-smoke for that path staying allocation-free.
-			r := compress.NewParallelReader(tc.codec, bytes.NewReader(stream.Bytes()), 1)
-			defer r.Close()
-			buf := make([]byte, allocChunk)
-			readChunk := func() {
-				if _, err := io.ReadFull(r, buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Warm-up: with one worker and one read-ahead slot, a few chunks
-			// cycle every pooled slot to steady-state capacity.
-			for i := 0; i < 8; i++ {
-				readChunk()
-			}
-			got := mallocsPer(32, readChunk)
-			if got > tc.decAllow+allocSlack {
-				t.Errorf("steady-state decompress of one chunk: %.2f allocs, want <= %.0f", got, tc.decAllow)
+			for _, eng := range allocEngines {
+				t.Run(eng.name, func(t *testing.T) {
+					procs(t, eng.procs)
+					noGC(t)
+					r := compress.NewParallelReader(tc.codec, bytes.NewReader(stream.Bytes()), eng.workers)
+					defer r.Close()
+					buf := make([]byte, allocChunk)
+					readChunk := func() {
+						if _, err := io.ReadFull(r, buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Warm-up: cycle every pooled slot to steady-state
+					// capacity.
+					for i := 0; i < allocWarm; i++ {
+						readChunk()
+					}
+					got := mallocsPer(allocWindow, readChunk)
+					if got > tc.decAllow+allocSlack {
+						t.Errorf("steady-state decompress of one chunk: %.2f allocs, want <= %.0f", got, tc.decAllow)
+					}
+				})
 			}
 		})
 	}

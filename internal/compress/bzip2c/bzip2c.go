@@ -4,20 +4,14 @@
 // counterintuitive result: block sorting groups the two's-complement regime
 // bytes of posit data, so bzip2 compresses posits *better* than floats.
 //
-// Blocks are compressed independently with stage-level pipeline
-// parallelism: three goroutines each own one stage (bwt | mtf+rle2 |
-// huffman on encode, huffman | mtf | bwt-inverse on decode) and blocks
-// flow through them in order, so block i's Huffman coding overlaps block
-// i+1's MTF and block i+2's BWT. The goroutine count is fixed at three per
-// call — not one per block as before — and output is deterministic
-// regardless of scheduling; single-block and one-CPU calls run the stages
-// inline with no goroutines at all.
+// Blocks are coded independently, in order, on the caller's goroutine
+// (bwt, mtf-rle2, huffman on encode; huffman, mtf, bwt-inverse on
+// decode). The codec is serial: parallelism lives in its callers, such as
+// the chunk engine, which codes one chunk per pool worker.
 package bzip2c
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"positbench/internal/bitio"
@@ -59,20 +53,11 @@ func (c *Codec) Info() compress.Info {
 	return compress.Info{Name: "bzip2", Version: "bwt-block", Source: "models bzip2 1.1.0 -9 (RLE1+BWT+MTF+RLE2+Huffman, 900 kB blocks)"}
 }
 
-// stageClock accumulates per-stage CPU time across the block workers.
-// Blocks compress in parallel, so the sums are CPU-like (they can exceed
-// wall time); the traced entry points export them as completed stage spans.
-// A nil clock keeps the untraced path free of time.Now calls.
+// stageClock accumulates per-stage time across the blocks of one call;
+// the traced entry points export the sums as completed stage spans. A nil
+// clock keeps the untraced path free of time.Now calls.
 type stageClock struct {
-	bwtNS  atomic.Int64
-	mtfNS  atomic.Int64
-	huffNS atomic.Int64
-}
-
-func (sc *stageClock) add(dst *atomic.Int64, since time.Time) time.Time {
-	now := time.Now()
-	dst.Add(now.Sub(since).Nanoseconds())
-	return now
+	bwt, mtf, huff time.Duration
 }
 
 // Compress implements compress.Codec.
@@ -100,85 +85,30 @@ func (c *Codec) compress(src []byte, sp *trace.Span, sc *stageClock) ([]byte, er
 	if sc != nil {
 		rle1 = time.Since(t0)
 	}
-	var blocks []encBlock
-	for off := 0; off < len(pre); off += c.blockSize {
-		end := off + c.blockSize
-		if end > len(pre) {
-			end = len(pre)
-		}
-		blocks = append(blocks, encBlock{block: pre[off:end]})
-	}
-	pipeline(len(blocks),
-		func(i int) { blocks[i].bwtStage(sc) },
-		func(i int) { blocks[i].mtfStage(sc) },
-		func(i int) { blocks[i].huffStage(sc) },
-	)
-	for i := range blocks {
-		if err := blocks[i].err; err != nil {
-			return nil, err
-		}
-	}
+	nBlocks := (len(pre) + c.blockSize - 1) / c.blockSize
 	out := bitio.PutUvarint(nil, uint64(len(src)))
-	out = bitio.PutUvarint(out, uint64(len(blocks)))
-	for i := range blocks {
-		out = bitio.PutUvarint(out, uint64(len(blocks[i].out)))
-		out = append(out, blocks[i].out...)
+	out = bitio.PutUvarint(out, uint64(nBlocks))
+	for off := 0; off < len(pre); off += c.blockSize {
+		b := encBlock{block: pre[off:min(off+c.blockSize, len(pre))]}
+		b.bwtStage(sc)
+		b.mtfStage(sc)
+		b.huffStage(sc)
+		if b.err != nil {
+			return nil, b.err
+		}
+		out = bitio.PutUvarint(out, uint64(len(b.out)))
+		out = append(out, b.out...)
 	}
 	if sp != nil && sc != nil {
 		sp.AddStage("rle1", rle1, int64(len(src)), int64(len(pre)))
-		sp.AddStage("bwt", time.Duration(sc.bwtNS.Load()), int64(len(pre)), 0)
-		sp.AddStage("mtf-rle2", time.Duration(sc.mtfNS.Load()), 0, 0)
-		sp.AddStage("huffman", time.Duration(sc.huffNS.Load()), 0, int64(len(out)))
+		sp.AddStage("bwt", sc.bwt, int64(len(pre)), 0)
+		sp.AddStage("mtf-rle2", sc.mtf, 0, 0)
+		sp.AddStage("huffman", sc.huff, 0, int64(len(out)))
 	}
 	return out, nil
 }
 
-// pipeline runs three stage functions over n blocks with stage-level
-// overlap: stage 2 works on block i while stage 1 transforms block i+1 and
-// stage 3 codes block i-1. The channels carry only block indexes, and each
-// stage owns a block's state exclusively between its receive and its send,
-// so the per-block states need no locking. Cost is fixed at three
-// goroutines and two capacity-1 channels however many blocks flow through;
-// with one block — or one CPU, where overlap cannot buy anything — the
-// stages run inline on the caller's goroutine, byte-identical because the
-// stages themselves are deterministic and assembly is in block order.
-func pipeline(n int, s1, s2, s3 func(int)) {
-	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := 0; i < n; i++ {
-			s1(i)
-			s2(i)
-			s3(i)
-		}
-		return
-	}
-	c12 := make(chan int, 1)
-	c23 := make(chan int, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(c12)
-		for i := 0; i < n; i++ {
-			s1(i)
-			c12 <- i
-		}
-	}()
-	go func() {
-		defer close(c23)
-		for i := range c12 {
-			s2(i)
-			c23 <- i
-		}
-	}()
-	go func() {
-		defer close(done)
-		for i := range c23 {
-			s3(i)
-		}
-	}()
-	<-done
-}
-
-// encBlock is one block moving through the encode pipeline; exactly one
-// stage touches it at a time.
+// encBlock is one block moving through the encode stages.
 type encBlock struct {
 	block   []byte // input (a window of the RLE1 stream)
 	last    []byte // BWT output
@@ -195,7 +125,7 @@ func (b *encBlock) bwtStage(sc *stageClock) {
 	}
 	b.last, b.primary = bwt.Transform(b.block)
 	if sc != nil {
-		sc.add(&sc.bwtNS, t0)
+		sc.bwt += time.Since(t0)
 	}
 }
 
@@ -207,7 +137,7 @@ func (b *encBlock) mtfStage(sc *stageClock) {
 	b.syms = append(mtf.EncodeZeroRuns(mtf.Encode(b.last)), eobSymbol)
 	b.last = nil
 	if sc != nil {
-		sc.add(&sc.mtfNS, t0)
+		sc.mtf += time.Since(t0)
 	}
 }
 
@@ -219,7 +149,7 @@ func (b *encBlock) huffStage(sc *stageClock) {
 	b.out, b.err = huffEncodeBlock(b.block, b.primary, b.syms)
 	b.syms = nil
 	if sc != nil {
-		sc.add(&sc.huffNS, t0) // table build + selectors + symbol coding
+		sc.huff += time.Since(t0) // table build + selectors + symbol coding
 	}
 }
 
@@ -243,7 +173,7 @@ func numTables(nSyms int) int {
 	}
 }
 
-// huffEncodeBlock is the encode pipeline's final stage: train the Huffman
+// huffEncodeBlock is the final encode stage: train the Huffman
 // tables on the block's symbol stream and write the block payload.
 func huffEncodeBlock(block []byte, primary int, syms []uint16) ([]byte, error) {
 	nGroups := numTables(len(syms))
@@ -362,10 +292,10 @@ func (c *Codec) Decompress(comp []byte) ([]byte, error) {
 }
 
 // DecompressLimits implements compress.Limited. Block headers are validated
-// against the input length before the block table is allocated, each worker
-// converts panics on hostile data into errors (a panic in a goroutine would
-// otherwise kill the process, bypassing any recover in the caller), and the
-// RLE1 expansion is capped by lim.
+// against the input length before the block table is allocated, each block
+// stage converts panics on hostile data into errors (callers such as the
+// chunk engine run codecs on their own goroutines, where a panic would
+// kill the process), and the RLE1 expansion is capped by lim.
 func (c *Codec) DecompressLimits(comp []byte, lim compress.DecodeLimits) ([]byte, error) {
 	return c.decompress(comp, lim, nil, nil)
 }
@@ -380,9 +310,9 @@ func (c *Codec) DecompressAppendLimitsTrace(dst, comp []byte, lim compress.Decod
 	return append(dst, out...), nil
 }
 
-// decodeClock reuses stageClock fields for the inverse pipeline: bwtNS
-// holds bwt.Inverse time, mtfNS the RUNA/RUNB+MTF decode, huffNS the table
-// reads and symbol decoding.
+// decompress reuses stageClock fields for the inverse stages: bwt holds
+// bwt.Inverse time, mtf the RUNA/RUNB+MTF decode, huff the table reads and
+// symbol decoding.
 func (c *Codec) decompress(comp []byte, lim compress.DecodeLimits, sp *trace.Span, sc *stageClock) ([]byte, error) {
 	maxOut := lim.OutputCap(len(comp))
 	origSize, n, err := bitio.Uvarint(comp)
@@ -418,22 +348,17 @@ func (c *Codec) decompress(comp []byte, lim compress.DecodeLimits, sp *trace.Spa
 		comp = comp[bl:]
 	}
 	dec := make([]decBlock, nBlocks)
-	for i := range dec {
-		dec[i].b = blocks[i]
-	}
-	pipeline(len(dec),
-		func(i int) { dec[i].huffStage(maxOut, sc) },
-		func(i int) { dec[i].mtfStage(sc) },
-		func(i int) { dec[i].bwtStage(sc) },
-	)
-	for i := range dec {
-		if err := dec[i].err; err != nil {
-			return nil, fmt.Errorf("bzip2: block %d: %w", i, err)
-		}
-	}
 	total := 0
 	for i := range dec {
-		total += len(dec[i].out)
+		d := &dec[i]
+		d.b = blocks[i]
+		d.huffStage(maxOut, sc)
+		d.mtfStage(sc)
+		d.bwtStage(sc)
+		if d.err != nil {
+			return nil, fmt.Errorf("bzip2: block %d: %w", i, d.err)
+		}
+		total += len(d.out)
 	}
 	pre := make([]byte, 0, total)
 	for i := range dec {
@@ -451,18 +376,17 @@ func (c *Codec) decompress(comp []byte, lim compress.DecodeLimits, sp *trace.Spa
 		return nil, compress.Errorf(compress.ErrCorrupt, "bzip2: size mismatch: got %d want %d", len(out), origSize)
 	}
 	if sp != nil && sc != nil {
-		sp.AddStage("huffman", time.Duration(sc.huffNS.Load()), 0, 0)
-		sp.AddStage("mtf", time.Duration(sc.mtfNS.Load()), 0, 0)
-		sp.AddStage("bwt-inverse", time.Duration(sc.bwtNS.Load()), 0, int64(len(pre)))
+		sp.AddStage("huffman", sc.huff, 0, 0)
+		sp.AddStage("mtf", sc.mtf, 0, 0)
+		sp.AddStage("bwt-inverse", sc.bwt, 0, int64(len(pre)))
 		sp.AddStage("rle1-inverse", time.Since(t0), int64(len(pre)), int64(len(out)))
 	}
 	return out, nil
 }
 
-// decBlock is one block moving through the decode pipeline; exactly one
-// stage touches it at a time. Every stage runs behind guard: the input is
-// untrusted, and a panic on a pipeline goroutine would kill the process,
-// bypassing any recover in the caller.
+// decBlock is one block moving through the decode stages. Every stage runs
+// behind guard: the input is untrusted, and a panic on a caller's worker
+// goroutine would kill the process.
 type decBlock struct {
 	b        []byte // encoded block payload
 	primary  uint64
@@ -509,7 +433,7 @@ func (d *decBlock) mtfStage(sc *stageClock) {
 			d.err = compress.Errorf(compress.ErrCorrupt, "block length mismatch: got %d want %d", len(d.last), d.blockLen)
 		}
 		if sc != nil {
-			sc.add(&sc.mtfNS, t0)
+			sc.mtf += time.Since(t0)
 		}
 	})
 }
@@ -523,12 +447,12 @@ func (d *decBlock) bwtStage(sc *stageClock) {
 		d.out, d.err = bwt.Inverse(d.last, int(d.primary))
 		d.last = nil
 		if sc != nil {
-			sc.add(&sc.bwtNS, t0)
+			sc.bwt += time.Since(t0)
 		}
 	})
 }
 
-// huffDecodeBlock is the decode pipeline's first stage: parse the block
+// huffDecodeBlock is the first decode stage: parse the block
 // header, read the Huffman tables and selectors, and decode the symbol
 // stream.
 func huffDecodeBlock(b []byte, maxOut int64, sc *stageClock) (_ []uint16, primary, blockLen uint64, _ error) {
@@ -640,7 +564,7 @@ func huffDecodeBlock(b []byte, maxOut int64, sc *stageClock) (_ []uint16, primar
 	}
 	syms = syms[:pos]
 	if sc != nil {
-		sc.add(&sc.huffNS, t0) // table reads + selector + symbol decode
+		sc.huff += time.Since(t0) // table reads + selector + symbol decode
 	}
 	return syms, primary, blockLen, nil
 }

@@ -16,20 +16,12 @@ type engineCounters struct {
 
 	queueWaitNS atomic.Int64 // cumulative submit -> worker-pickup time
 
-	// Work-stealing scheduler counters. Every chunk submitted to a
-	// scheduler is executed exactly once, either by the worker that owns
-	// the deque it landed in (a local hit) or by a thief — so after any
-	// engine drains, schedSubmitted == schedLocalHits + schedSteals, an
-	// invariant the positload soak reconciles end to end.
-	schedSubmitted atomic.Int64 // chunks handed to a work-stealing scheduler
-	schedLocalHits atomic.Int64 // chunks executed from the worker's own deque
-	schedSteals    atomic.Int64 // chunks stolen from another worker's deque
-
-	// workerDepth holds per-worker-slot queue depth gauges, aggregated
-	// across every live scheduler (worker index mod engineDepthSlots). The
-	// spread across slots is the live view of how well stealing levels a
-	// skewed chunk-size distribution.
-	workerDepth [engineDepthSlots]atomic.Int64
+	// Pool counters. Every item handed to an engine pool runs exactly once
+	// on one of its workers, so after any engine drains schedSubmitted ==
+	// schedLocalHits, an invariant the positload soak reconciles end to
+	// end.
+	schedSubmitted atomic.Int64 // items handed to an engine pool
+	schedLocalHits atomic.Int64 // items an engine pool worker ran
 
 	compressChunks   atomic.Int64
 	compressBusyNS   atomic.Int64
@@ -52,10 +44,6 @@ type engineCounters struct {
 	rangeBytesOut atomic.Int64 // raw bytes produced by range decodes
 }
 
-// engineDepthSlots bounds the per-worker depth gauge array; schedulers
-// wider than this fold onto the slots mod engineDepthSlots.
-const engineDepthSlots = 8
-
 var engine engineCounters
 
 // EngineStats is one consistent-enough snapshot of the engine counters
@@ -67,8 +55,11 @@ type EngineStats struct {
 
 	QueueWaitNS int64 `json:"queue_wait_ns_total"`
 
-	SchedSubmitted    int64   `json:"sched_submitted"`
-	SchedLocalHits    int64   `json:"sched_local_hits"`
+	SchedSubmitted int64 `json:"sched_submitted"`
+	SchedLocalHits int64 `json:"sched_local_hits"`
+	// SchedSteals and WorkerQueueDepths always read zero: the engines' one
+	// FIFO queue neither steals nor keeps per-worker queues. They keep the
+	// /metrics key set fixed until the benchmark stops reading them.
 	SchedSteals       int64   `json:"sched_steals"`
 	WorkerQueueDepths []int64 `json:"worker_queue_depths"`
 
@@ -90,10 +81,6 @@ type EngineStats struct {
 
 // EngineSnapshot reads the current counter values.
 func EngineSnapshot() EngineStats {
-	depths := make([]int64, engineDepthSlots)
-	for i := range depths {
-		depths[i] = engine.workerDepth[i].Load()
-	}
 	return EngineStats{
 		QueueDepth:         engine.queueDepth.Load(),
 		WorkersAlive:       engine.workersAlive.Load(),
@@ -101,8 +88,7 @@ func EngineSnapshot() EngineStats {
 		QueueWaitNS:        engine.queueWaitNS.Load(),
 		SchedSubmitted:     engine.schedSubmitted.Load(),
 		SchedLocalHits:     engine.schedLocalHits.Load(),
-		SchedSteals:        engine.schedSteals.Load(),
-		WorkerQueueDepths:  depths,
+		WorkerQueueDepths:  make([]int64, 8), // the old per-worker slot count
 		CompressChunks:     engine.compressChunks.Load(),
 		CompressBusyNS:     engine.compressBusyNS.Load(),
 		CompressBytesIn:    engine.compressBytesIn.Load(),

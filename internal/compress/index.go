@@ -2,7 +2,8 @@ package compress
 
 import (
 	"io"
-	"runtime"
+
+	"positbench/internal/pool"
 )
 
 // Random-access support for the chunked stream format. The writers know the
@@ -27,35 +28,27 @@ type IndexSink interface {
 	WriteTrailer(dst io.Writer) (int64, error)
 }
 
-// RunParallel executes fn(0..n-1) on the work-stealing engine — the same
-// scheduler shape the chunk pipelines run on, visible in the same
-// sched_submitted/sched_steals counters. Range reads use it to decode the
-// chunks of a multi-chunk window concurrently. It falls back to an inline
-// loop when the parallelism cannot pay for its own handoffs (one worker,
-// one item, or a 1-CPU host), mirroring the serial-fallback policy of the
-// stream engines. fn must be safe for concurrent calls; RunParallel returns
-// only after every call has finished.
+// RunParallel is pool.Run on the stream engines' pool: it executes
+// fn(0..n-1) on at most pool.Workers(workers) workers, counted in the same
+// sched_submitted, sched_local_hits and workers_alive figures. Range reads
+// use it to decode the chunks of a multi-chunk window concurrently. Like
+// pool.Run it runs inline, in order, with one worker, one item or one CPU,
+// where the parallelism cannot pay for its own handoffs. fn must be safe
+// for concurrent calls; RunParallel returns only after every call has
+// finished.
 func RunParallel(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 || runtime.GOMAXPROCS(0) == 1 {
+	workers = min(pool.Workers(workers), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	s := newWorkStealing(workers, n, 0, func(_ int, _ bool, i int) { fn(i) })
+	p := startEnginePool(workers, func(_ int, i int) { fn(i) })
 	for i := 0; i < n; i++ {
-		s.submit(i)
+		p.submit(i)
 	}
-	s.close()
+	p.close()
 }
 
 // AccountRangeRead records one random-access window resolution against the

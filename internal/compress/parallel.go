@@ -6,11 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
+	"positbench/internal/pool"
 	"positbench/internal/trace"
 )
 
@@ -29,10 +29,50 @@ import (
 // filling/draining plus the pool's queue), so peak buffering is
 // O(workers x chunkSize) plus the compressed copies of those same chunks.
 //
+// Scheduling: both engines and RunParallel run their chunks on a
+// pool.Pool, one FIFO queue drained by a fixed set of workers. With at
+// most workers+1 chunks pending, an idle worker always takes the oldest
+// one, which is the chunk the in-order emitter or reader waits on next.
+//
 // Error semantics: first error in stream order wins and is sticky,
 // matching the serial path; ErrCorrupt/ErrTruncated/ErrLimitExceeded
 // surface identically because both paths share the same frame parser and
 // per-chunk DecompressLimits call.
+
+// enginePool is the pool.Pool the chunk engines and RunParallel run on,
+// plus the accounting /metrics reads: sched_submitted counts items handed
+// to it, sched_local_hits items its workers ran, and workers_alive its
+// workers from start until close has joined them.
+type enginePool[T any] struct {
+	p       *pool.Pool[T]
+	workers int
+	once    sync.Once
+}
+
+// startEnginePool starts workers goroutines running exec. The queue holds
+// workers+1 items, the stream engines' in-flight bound, so their submits
+// never block.
+func startEnginePool[T any](workers int, exec func(worker int, t T)) *enginePool[T] {
+	engine.workersAlive.Add(int64(workers))
+	return &enginePool[T]{workers: workers, p: pool.New(workers, workers+1, func(w int, t T) {
+		engine.schedLocalHits.Add(1)
+		exec(w, t)
+	})}
+}
+
+func (e *enginePool[T]) submit(t T) {
+	engine.schedSubmitted.Add(1)
+	e.p.Submit(t)
+}
+
+// close returns once every submitted item has run and the workers have
+// exited. It is idempotent.
+func (e *enginePool[T]) close() {
+	e.once.Do(func() {
+		e.p.Close()
+		engine.workersAlive.Add(-int64(e.workers))
+	})
+}
 
 // pwJob is one chunk moving through the writer's pool: src is the raw
 // chunk, comp/err the compression result. ready (capacity 1) receives one
@@ -50,8 +90,8 @@ type pwJob struct {
 	span      *trace.Span // per-chunk span; nil when the stream is untraced
 }
 
-// ParallelWriter compresses a stream chunk by chunk on a work-stealing
-// scheduler, emitting frames in order. It is not safe for concurrent Write
+// ParallelWriter compresses a stream chunk by chunk on a worker pool,
+// emitting frames in order. It is not safe for concurrent Write
 // calls (like any io.Writer); the parallelism is internal.
 type ParallelWriter struct {
 	codec   Codec
@@ -63,9 +103,9 @@ type ParallelWriter struct {
 	span *trace.Span // request span from the context; parents the chunk spans
 	seq  int         // chunk index, for span labels
 
-	cur     *pwJob               // chunk currently being filled by Write
-	order   chan *pwJob          // submission order; capacity bounds in-flight chunks
-	sched   *wsScheduler[*pwJob] // work-stealing compressors
+	cur     *pwJob              // chunk currently being filled by Write
+	order   chan *pwJob         // submission order; capacity bounds in-flight chunks
+	sched   *enginePool[*pwJob] // compressors
 	done    chan struct{}
 	jobPool sync.Pool                   // pwJob shells with their ready channel and buffers
 	hdr     [binary.MaxVarintLen64]byte // frame-header scratch for the emitter
@@ -81,19 +121,20 @@ type ParallelWriter struct {
 	sink IndexSink
 	pos  int64
 
-	// serial, when non-nil, replaces the whole scheduler: on a host where
-	// the engine cannot overlap chunk compression with anything (one
-	// worker, or one CPU), the scheduler shape only adds handoffs over the
-	// buffer-reusing serial Writer, so construction falls back to it and
-	// every method delegates. See NewParallelWriterContext.
+	// serial, when non-nil, replaces the whole pool: on a host where the
+	// engine cannot overlap chunk compression with anything (one worker,
+	// or one CPU), the pool only adds handoffs over the buffer-reusing
+	// serial Writer, so construction falls back to it and every method
+	// delegates. See NewParallelWriterContext.
 	serial *Writer
 }
 
 // NewParallelWriter returns a parallel streaming compressor writing to dst.
 // chunkSize <= 0 selects DefaultChunkSize; workers <= 0 selects
-// runtime.GOMAXPROCS(0). With workers == 1 the output is still produced by
-// a pool of one, byte-identical to the serial Writer. Close must be called
-// to terminate the stream and release the pool's goroutines.
+// runtime.GOMAXPROCS(0). With one worker, or on a one-CPU host, it
+// delegates to the serial Writer; the output is byte-identical either way.
+// Close must be called to terminate the stream and release the pool's
+// goroutines.
 func NewParallelWriter(codec Codec, dst io.Writer, chunkSize, workers int) *ParallelWriter {
 	return NewParallelWriterContext(context.Background(), codec, dst, chunkSize, workers)
 }
@@ -107,16 +148,14 @@ func NewParallelWriterContext(ctx context.Context, codec Codec, dst io.Writer, c
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
+	workers = pool.Workers(workers)
+	if workers == 1 {
 		// One worker — or one CPU, however many workers were asked for —
-		// cannot overlap chunk compression with anything: the scheduler
-		// shape only adds handoffs, goroutine switches, and per-chunk
-		// buffer copies over the serial path, a measured regression on the
-		// 1-CPU reference box. Delegate to the serial Writer, which reuses
-		// its buffers across chunks; output is byte-identical.
+		// cannot overlap chunk compression with anything: the pool only
+		// adds handoffs, goroutine switches, and per-chunk buffer copies
+		// over the serial path, a measured regression on the 1-CPU
+		// reference box. Delegate to the serial Writer, which reuses its
+		// buffers across chunks; output is byte-identical.
 		sw := NewWriter(codec, dst, chunkSize)
 		sw.SetSpan(trace.FromContext(ctx))
 		return &ParallelWriter{ctx: ctx, serial: sw}
@@ -132,17 +171,14 @@ func NewParallelWriterContext(ctx context.Context, codec Codec, dst io.Writer, c
 		done:    make(chan struct{}),
 	}
 	w.jobPool.New = func() interface{} { return &pwJob{ready: make(chan struct{}, 1)} }
-	// Deque depth covers the whole in-flight bound (order's capacity plus
-	// the job the emitter holds), so a push never fails even if stealing
-	// concentrates the backlog on one deque.
-	w.sched = newWorkStealing(workers, workers+2, 0, w.runJob)
+	w.sched = startEnginePool(workers, w.runJob)
 	go w.emitter()
 	return w
 }
 
 // SerialFallback reports whether the writer delegates to the serial path
-// instead of running a scheduler — true with one worker or on a 1-CPU
-// host, where parallelism cannot pay for its own handoffs.
+// instead of running a pool — true with one worker or on a 1-CPU host,
+// where parallelism cannot pay for its own handoffs.
 func (w *ParallelWriter) SerialFallback() bool { return w.serial != nil }
 
 // SetIndexSink attaches sink to receive the frame layout as it is emitted;
@@ -159,17 +195,14 @@ func (w *ParallelWriter) SetIndexSink(sink IndexSink) {
 	w.sink = sink
 }
 
-// runJob compresses one chunk on a scheduler worker.
-func (w *ParallelWriter) runJob(worker int, stolen bool, job *pwJob) {
+// runJob compresses one chunk on a pool worker.
+func (w *ParallelWriter) runJob(worker int, job *pwJob) {
 	engine.queueDepth.Add(-1)
 	wait := time.Since(job.submitted)
 	engine.queueWaitNS.Add(int64(wait))
 	job.span.AddStage("queue-wait", wait, 0, 0)
 	if job.span != nil {
 		job.span.Annotate("worker", strconv.Itoa(worker))
-		if stolen {
-			job.span.Annotate("stolen", "1")
-		}
 	}
 	if err := w.ctx.Err(); err != nil {
 		job.err = err
@@ -303,7 +336,7 @@ func (w *ParallelWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// submit hands the current chunk to the scheduler. Sending on order first
+// submit hands the current chunk to the pool. Sending on order first
 // preserves emission order; its capacity is the back-pressure bound.
 func (w *ParallelWriter) submit() {
 	job := w.cur
@@ -319,8 +352,8 @@ func (w *ParallelWriter) submit() {
 	w.sched.submit(job)
 }
 
-// Close flushes the final chunk, waits for the scheduler to drain, writes
-// the stream terminator, and releases all goroutines. It is idempotent.
+// Close flushes the final chunk, waits for the pool to drain, writes the
+// stream terminator, and releases all goroutines. It is idempotent.
 func (w *ParallelWriter) Close() error {
 	if w.closed {
 		return w.firstErr()
@@ -333,7 +366,7 @@ func (w *ParallelWriter) Close() error {
 		if err := w.firstErr(); err != nil {
 			// Poisoned (CloseWithError or an earlier failure): the pending
 			// partial chunk and the terminator are NOT emitted, exactly as
-			// on the scheduler path.
+			// on the pool path.
 			return err
 		}
 		err := w.serial.Close()
@@ -396,12 +429,12 @@ type ParallelReader struct {
 	span     *trace.Span // request span from the context; parents the chunk spans
 	seq      int         // chunk index, for span labels
 	slots    chan *prSlot
-	sched    *wsScheduler[*prSlot] // work-stealing decompressors
+	sched    *enginePool[*prSlot] // decompressors
 	stop     chan struct{}
 	once     sync.Once
 	finished chan struct{} // closed once the pool has fully drained
 	finOnce  sync.Once
-	wg       sync.WaitGroup // the fetcher; scheduler workers have their own
+	wg       sync.WaitGroup // the fetcher; pool workers have their own
 
 	buf      []byte
 	cur      *prSlot // slot whose out buffer buf aliases; recycled when drained
@@ -435,13 +468,11 @@ func NewParallelReaderLimits(codec Codec, src io.Reader, lim DecodeLimits, worke
 // waiting for EOF. Serving paths use this so request cancellation cannot
 // leak in-flight decode workers.
 func NewParallelReaderContext(ctx context.Context, codec Codec, src io.Reader, lim DecodeLimits, workers int) *ParallelReader {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// One worker cannot overlap fetch with decode: the scheduler shape
-		// only adds handoffs, goroutine switches, and per-chunk buffer
-		// copies over the serial path. The same holds on a 1-CPU host
+	workers = pool.Workers(workers)
+	if workers == 1 {
+		// One worker cannot overlap fetch with decode: the pool only adds
+		// handoffs, goroutine switches, and per-chunk buffer copies over
+		// the serial path. The same holds on a 1-CPU host
 		// (GOMAXPROCS=1) no matter how many workers were requested, for
 		// EVERY codec: extra workers cannot add CPU, so the ready-channel
 		// round-trip and prSlot churn are pure overhead — a measured
@@ -462,11 +493,8 @@ func NewParallelReaderContext(ctx context.Context, codec Codec, src io.Reader, l
 		finished: make(chan struct{}),
 	}
 	r.slotPool.New = func() interface{} { return &prSlot{ready: make(chan struct{}, 1)} }
-	// Deque depth covers the whole in-flight bound (slots' capacity plus
-	// the slot Read holds), so a push never fails even if stealing
-	// concentrates the backlog on one deque.
-	r.sched = newWorkStealing(workers, workers+2, 0, func(worker int, stolen bool, slot *prSlot) {
-		r.runSlot(codec, lim, worker, stolen, slot)
+	r.sched = startEnginePool(workers, func(worker int, slot *prSlot) {
+		r.runSlot(codec, lim, worker, slot)
 	})
 	r.wg.Add(1)
 	go r.fetch(bufio.NewReader(src), lim)
@@ -523,31 +551,28 @@ func (r *ParallelReader) fetch(src *bufio.Reader, lim DecodeLimits) {
 		case <-r.stop:
 			return
 		}
-		// The scheduler executes every submitted slot — resolving it with
-		// the shutdown error if r.stop closed first — so the old hazard of
-		// a slot visible on r.slots that no worker will ever touch cannot
-		// occur: submit here never blocks and never drops.
+		// The pool runs every submitted slot — resolving it with the
+		// shutdown error if r.stop closed first — so no slot on r.slots is
+		// left that no worker will touch: submit never blocks (the queue
+		// holds the whole in-flight bound) and never drops.
 		engine.queueDepth.Add(1)
 		r.sched.submit(slot)
 	}
 }
 
 // SerialFallback reports whether the reader delegates to the serial path
-// instead of running a scheduler — true with one worker or on a 1-CPU
-// host, where parallelism cannot pay for its own handoffs.
+// instead of running a pool — true with one worker or on a 1-CPU host,
+// where parallelism cannot pay for its own handoffs.
 func (r *ParallelReader) SerialFallback() bool { return r.serial != nil }
 
-// runSlot decompresses one chunk on a scheduler worker.
-func (r *ParallelReader) runSlot(codec Codec, lim DecodeLimits, worker int, stolen bool, slot *prSlot) {
+// runSlot decompresses one chunk on a pool worker.
+func (r *ParallelReader) runSlot(codec Codec, lim DecodeLimits, worker int, slot *prSlot) {
 	engine.queueDepth.Add(-1)
 	wait := time.Since(slot.fetched)
 	engine.queueWaitNS.Add(int64(wait))
 	slot.span.AddStage("queue-wait", wait, 0, 0)
 	if slot.span != nil {
 		slot.span.Annotate("worker", strconv.Itoa(worker))
-		if stolen {
-			slot.span.Annotate("stolen", "1")
-		}
 	}
 	select {
 	case <-r.stop:
@@ -710,8 +735,8 @@ func (r *ParallelReader) Read(p []byte) (int, error) {
 func (r *ParallelReader) shutdown() {
 	r.once.Do(func() { close(r.stop) })
 	// Unblock any pending slots so the fetcher can exit, then wait for it;
-	// only then is the scheduler quiescent (no more submits) and safe to
-	// close, which drains every submitted slot. After shutdown returns, no
+	// only then is the pool quiescent (no more submits) and safe to close,
+	// which drains every submitted slot. After shutdown returns, no
 	// goroutines remain.
 	go func() {
 		for range r.slots {

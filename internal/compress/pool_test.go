@@ -11,58 +11,10 @@ import (
 	"time"
 )
 
-// TestStealOrderDeterministic pins the seeded victim selection: the same
-// seed replays the same probe sequence, distinct seeds diverge, and self is
-// never probed first. stealStart and wsRand are pure, so the property holds
-// without racing real workers.
-func TestStealOrderDeterministic(t *testing.T) {
-	const workers = 5
-	sequence := func(seed uint64, self int) []int {
-		r := &wsRand{state: seed}
-		var seq []int
-		for i := 0; i < 64; i++ {
-			v := stealStart(r, self, workers)
-			if v == self || v < 0 || v >= workers {
-				t.Fatalf("seed %#x: stealStart returned %d for self %d of %d", seed, v, self, workers)
-			}
-			seq = append(seq, v)
-		}
-		return seq
-	}
-	for self := 0; self < workers; self++ {
-		a := sequence(0xfeed, self)
-		b := sequence(0xfeed, self)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("self %d: same seed diverged at probe %d: %d vs %d", self, i, a[i], b[i])
-			}
-		}
-	}
-	a, b := sequence(0xfeed, 0), sequence(0xbeef, 0)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("distinct seeds replayed the same 64-probe victim sequence")
-	}
-	// The generator must reach every victim, not orbit a subset.
-	seen := map[int]bool{}
-	for _, v := range sequence(0x1234, 2) {
-		seen[v] = true
-	}
-	if len(seen) != workers-1 {
-		t.Fatalf("64 probes visited %d of %d victims", len(seen), workers-1)
-	}
-}
-
 // TestSchedulerSkewedLoadBalances runs a skewed chunk-size distribution —
 // one blocker an order of magnitude longer than the rest — and requires
-// (a) every item executed exactly once and (b) at least one steal: the
-// idle workers must raid the blocked worker's backlog rather than park.
+// every item executed exactly once while one worker is blocked: no item
+// may wait behind the blocked worker.
 func TestSchedulerSkewedLoadBalances(t *testing.T) {
 	noLeaks(t)
 	prev := runtime.GOMAXPROCS(4)
@@ -71,14 +23,10 @@ func TestSchedulerSkewedLoadBalances(t *testing.T) {
 	const workers = 4
 	const items = 64
 	var executed [items]atomic.Int32
-	var steals atomic.Int32
 	blockerRunning := make(chan struct{})
 	release := make(chan struct{})
-	s := newWorkStealing(workers, items+workers, 0xc0ffee, func(w int, stolen bool, it int) {
+	s := startEnginePool(workers, func(w int, it int) {
 		executed[it].Add(1)
-		if stolen {
-			steals.Add(1)
-		}
 		if it == 0 {
 			close(blockerRunning)
 			<-release // the blocker: pins its worker until the end
@@ -87,8 +35,7 @@ func TestSchedulerSkewedLoadBalances(t *testing.T) {
 		}
 	})
 	// Land the blocker alone, wait until a worker is pinned on it, then
-	// submit the rest: every 4th item round-robins onto the pinned worker's
-	// deque and can only finish via steals.
+	// submit the rest, which the other three workers must drain.
 	s.submit(0)
 	<-blockerRunning
 	for i := 1; i < items; i++ {
@@ -119,9 +66,6 @@ func TestSchedulerSkewedLoadBalances(t *testing.T) {
 			t.Errorf("item %d executed %d times, want exactly 1", i, n)
 		}
 	}
-	if steals.Load() == 0 {
-		t.Error("no steals under a skewed load with a blocked worker")
-	}
 }
 
 // TestSchedulerCloseDrains submits a burst and closes immediately: close
@@ -132,7 +76,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	var ran atomic.Int32
-	s := newWorkStealing(3, 64, 7, func(w int, stolen bool, _ struct{}) {
+	s := startEnginePool(3, func(w int, _ struct{}) {
 		time.Sleep(50 * time.Microsecond)
 		ran.Add(1)
 	})
@@ -148,14 +92,15 @@ func TestSchedulerCloseDrains(t *testing.T) {
 
 // TestSchedulerCountersReconcile pins the /metrics invariant the positload
 // soak checks end to end: submitted == local hits + steals after a drain,
-// and every per-worker depth gauge returns to zero.
+// steals stay zero, every per-worker depth gauge reads zero, and
+// workers_alive returns to its level before the pool started.
 func TestSchedulerCountersReconcile(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	pre := EngineSnapshot()
 
 	var wg sync.WaitGroup
-	s := newWorkStealing(2, 34, 99, func(w int, stolen bool, _ int) {
+	s := startEnginePool(2, func(w int, _ int) {
 		time.Sleep(20 * time.Microsecond)
 		wg.Done()
 	})
@@ -177,14 +122,20 @@ func TestSchedulerCountersReconcile(t *testing.T) {
 	if local+steals != subs {
 		t.Fatalf("scheduler leaked work: submitted %d != local %d + stolen %d", subs, local, steals)
 	}
+	if steals != 0 {
+		t.Errorf("sched_steals moved by %d, want 0", steals)
+	}
 	for slot, depth := range snap.WorkerQueueDepths {
 		if depth != pre.WorkerQueueDepths[slot] {
 			t.Errorf("worker slot %d queue depth drifted: %d -> %d", slot, pre.WorkerQueueDepths[slot], depth)
 		}
 	}
+	if snap.WorkersAlive != pre.WorkersAlive {
+		t.Errorf("workers_alive drifted: %d -> %d", pre.WorkersAlive, snap.WorkersAlive)
+	}
 }
 
-// TestParallelReaderEarlyCloseScheduler closes a scheduler-path reader
+// TestParallelReaderEarlyCloseScheduler closes a pool-path reader
 // mid-stream: no goroutine leak, and the canonical read-after-Close error.
 func TestParallelReaderEarlyCloseScheduler(t *testing.T) {
 	noLeaks(t)
@@ -195,7 +146,7 @@ func TestParallelReaderEarlyCloseScheduler(t *testing.T) {
 	stream := writeSerial(t, passthrough{}, data, 1024)
 	r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
 	if r.SerialFallback() {
-		t.Fatal("expected the scheduler path under GOMAXPROCS(2) workers=4")
+		t.Fatal("expected the pool path under GOMAXPROCS(2) workers=4")
 	}
 	buf := make([]byte, 512)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -209,7 +160,7 @@ func TestParallelReaderEarlyCloseScheduler(t *testing.T) {
 	}
 }
 
-// errAfterCodec fails compression from the Nth call on; the scheduler path
+// errAfterCodec fails compression from the Nth call on; the pool path
 // must surface the first error, stick to it, and still shut down cleanly.
 type errAfterCodec struct {
 	passthrough
@@ -229,7 +180,7 @@ func (c *errAfterCodec) Compress(src []byte) ([]byte, error) {
 func (c *errAfterCodec) Name() string { return "err-after" }
 
 // TestParallelWriterStickyErrorScheduler pins first-error-wins on the
-// scheduler path: after a chunk fails, Write and Close keep returning the
+// pool path: after a chunk fails, Write and Close keep returning the
 // same error and the engine tears down without leaking workers.
 func TestParallelWriterStickyErrorScheduler(t *testing.T) {
 	noLeaks(t)
@@ -239,7 +190,7 @@ func TestParallelWriterStickyErrorScheduler(t *testing.T) {
 	var sink bytes.Buffer
 	w := NewParallelWriter(&errAfterCodec{n: 2}, &sink, 1024, 4)
 	if w.SerialFallback() {
-		t.Fatal("expected the scheduler path under GOMAXPROCS(2) workers=4")
+		t.Fatal("expected the pool path under GOMAXPROCS(2) workers=4")
 	}
 	data := parallelData(64 << 10)
 	var firstErr error

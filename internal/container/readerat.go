@@ -11,7 +11,7 @@ import (
 // Random access over an indexed (v2) chunked stream. ReaderAt maps a raw
 // `[off,len)` window to the minimal chunk set via the trailer index,
 // fetches only those frames, verifies each against its indexed CRC-32C,
-// and decodes them — in parallel through the work-stealing engine when the
+// and decodes them — in parallel on the chunk engine's pool when the
 // window spans several chunks, and through an optional content-addressed
 // cache so repeated windows (or identical chunks across objects) decode
 // once.

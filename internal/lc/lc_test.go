@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"positbench/internal/compress/codectest"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -185,7 +186,7 @@ func TestCodecBadContainer(t *testing.T) {
 
 func TestSearchAllFindsCompressor(t *testing.T) {
 	src := floatField(4096)
-	rs, err := SearchAll(src)
+	rs, err := SearchAll(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,26 +221,39 @@ func TestSearchAllFindsCompressor(t *testing.T) {
 	}
 }
 
+// TestSearchDeterminism repeats the search and varies its worker count:
+// every run must return the same results in the same order.
 func TestSearchDeterminism(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	src := positLike(2048)
-	a, err := SearchAll(src)
+	a, err := SearchAll(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic search at %d: %+v vs %+v", i, a[i], b[i])
+	for _, workers := range []int{0, 1, 4} {
+		b, err := SearchAll(src, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != len(a) {
+			t.Fatalf("workers %d: %d results, want %d", workers, len(b), len(a))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("workers %d: nondeterministic search at %d: %+v vs %+v", workers, i, a[i], b[i])
+			}
 		}
 	}
 }
 
 func TestBestGlobal(t *testing.T) {
 	inputs := [][]byte{floatField(2048), floatField(1024), positLike(2048)}
-	pipe, results, err := BestGlobal(inputs)
+	perInput, err := SearchAllMulti(inputs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, results, err := SelectGlobal(perInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +261,7 @@ func TestBestGlobal(t *testing.T) {
 		t.Fatalf("results %d", len(results))
 	}
 	// The global pipeline's geomean must be <= the per-file geomean.
-	perFile, err := BestPerFile(inputs)
+	perFile, err := SelectPerFile(perInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +273,11 @@ func TestBestGlobal(t *testing.T) {
 	if gLog > pLog+1e-9 {
 		t.Fatalf("global pipeline %s beat per-file selection: %g > %g", pipe, gLog, pLog)
 	}
-	if _, _, err := BestGlobal(nil); err == nil {
+	perInput, err = SearchAllMulti(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SelectGlobal(perInput); err == nil {
 		t.Fatal("empty input list accepted")
 	}
 }
@@ -327,7 +345,7 @@ func BenchmarkSearchAll(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAll(src); err != nil {
+		if _, err := SearchAll(src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,9 +3,9 @@ package lc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
+
+	"positbench/internal/pool"
 )
 
 // Result is one pipeline's outcome on one input.
@@ -25,72 +25,56 @@ func (r Result) Pipeline() (Pipeline, error) {
 const headerBytes = 1 + PipelineDepth
 
 // SearchAll evaluates every 3-stage pipeline over the component library on
-// data, in parallel, and returns results sorted best (largest ratio) first.
-// Ties break lexicographically on the pipeline string so output is
-// deterministic.
-func SearchAll(data []byte) ([]Result, error) {
+// data, on at most workers workers (<= 0 means GOMAXPROCS), and returns
+// results sorted best (largest ratio) first. Ties break lexicographically
+// on the pipeline string, so output does not depend on the worker count.
+func SearchAll(data []byte, workers int) ([]Result, error) {
 	lib := Components()
 	nl := len(lib)
+	// One pool item per first stage: it runs the first stage once and
+	// every continuation of it, so a first-stage output is never recomputed.
+	perFirst := make([][]Result, nl)
+	errs := make([]error, nl)
+	pool.Run(workers, nl, func(i int) {
+		perFirst[i], errs[i] = searchFrom(lib[i], lib, data)
+	})
 	results := make([]Result, 0, nl*nl*nl)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, s1 := range lib {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s1 Component) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t1, err := s1.Forward(data)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", s1.Name(), err)
-				}
-				mu.Unlock()
-				return
-			}
-			local := make([]Result, 0, nl*nl)
-			for _, s2 := range lib {
-				t2, err := s2.Forward(t1)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
-					}
-					mu.Unlock()
-					return
-				}
-				for _, s3 := range lib {
-					t3, err := s3.Forward(t2)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
-						}
-						mu.Unlock()
-						return
-					}
-					size := len(t3) + headerBytes
-					local = append(local, Result{
-						Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
-						Size:  size,
-						Ratio: float64(len(data)) / float64(size),
-					})
-				}
-			}
-			mu.Lock()
-			results = append(results, local...)
-			mu.Unlock()
-		}(s1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, perFirst[i]...)
 	}
 	sortResults(results)
 	return results, nil
+}
+
+// searchFrom evaluates every pipeline whose first stage is s1.
+func searchFrom(s1 Component, lib []Component, data []byte) ([]Result, error) {
+	t1, err := s1.Forward(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s1.Name(), err)
+	}
+	local := make([]Result, 0, len(lib)*len(lib))
+	for _, s2 := range lib {
+		t2, err := s2.Forward(t1)
+		if err != nil {
+			return nil, fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
+		}
+		for _, s3 := range lib {
+			t3, err := s3.Forward(t2)
+			if err != nil {
+				return nil, fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
+			}
+			size := len(t3) + headerBytes
+			local = append(local, Result{
+				Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
+				Size:  size,
+				Ratio: float64(len(data)) / float64(size),
+			})
+		}
+	}
+	return local, nil
 }
 
 func sortResults(rs []Result) {
@@ -106,13 +90,13 @@ func pipeKey(names [PipelineDepth]string) string {
 	return names[0] + "|" + names[1] + "|" + names[2]
 }
 
-// SearchAllMulti runs SearchAll on every input, preserving order. The
-// result sets can be fed to both SelectGlobal and SelectPerFile without
-// re-running the (expensive) search.
-func SearchAllMulti(inputs [][]byte) ([][]Result, error) {
+// SearchAllMulti runs SearchAll on every input with the given worker
+// bound, preserving order. The result sets can be fed to both SelectGlobal
+// and SelectPerFile without re-running the (expensive) search.
+func SearchAllMulti(inputs [][]byte, workers int) ([][]Result, error) {
 	perInput := make([][]Result, len(inputs))
 	for i, data := range inputs {
-		rs, err := SearchAll(data)
+		rs, err := SearchAll(data, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -134,29 +118,9 @@ func SelectPerFile(perInput [][]Result) ([]Result, error) {
 	return out, nil
 }
 
-// BestPerFile returns, for each input, the best pipeline found on that
-// input alone, preserving input order.
-func BestPerFile(inputs [][]byte) ([]Result, error) {
-	perInput, err := SearchAllMulti(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return SelectPerFile(perInput)
-}
-
-// BestGlobal runs the search on every input and returns the single pipeline
-// with the highest geometric-mean ratio across all inputs (the paper's
-// Section 4.3 selection rule), plus its per-input results.
-func BestGlobal(inputs [][]byte) (Pipeline, []Result, error) {
-	perInput, err := SearchAllMulti(inputs)
-	if err != nil {
-		return Pipeline{}, nil, err
-	}
-	return SelectGlobal(perInput)
-}
-
 // SelectGlobal picks the single pipeline with the highest geometric-mean
-// ratio across all precomputed result sets.
+// ratio across all precomputed result sets (the paper's Section 4.3
+// selection rule), plus its per-input results.
 func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
 	inputs := perInput // alias: only the length is used below
 	if len(inputs) == 0 {

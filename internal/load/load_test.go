@@ -106,16 +106,16 @@ func TestBurstAgainstPositd(t *testing.T) {
 	if snap.Engine.TracesCaptured == 0 {
 		t.Error("no traces captured during the burst")
 	}
-	// Work-stealing scheduler reconciliation: every chunk submitted during
-	// the burst was executed exactly once, from its own deque or stolen —
-	// and with the burst fully drained (healthy run, grace tail) the chunk
-	// counters account for every submission. Counters are process-global,
+	// Pool reconciliation: every chunk submitted during the burst was
+	// executed exactly once by a pool worker — and with the burst fully
+	// drained (healthy run, grace tail) the chunk counters account for
+	// every submission. Counters are process-global,
 	// so everything is measured as a delta from the pre-burst snapshot.
 	subs := snap.Engine.SchedSubmitted - pre.SchedSubmitted
 	local := snap.Engine.SchedLocalHits - pre.SchedLocalHits
 	steals := snap.Engine.SchedSteals - pre.SchedSteals
 	if subs == 0 {
-		t.Error("burst submitted no chunks to the work-stealing scheduler")
+		t.Error("burst submitted no chunks to the engine pool")
 	}
 	if local+steals != subs {
 		t.Errorf("scheduler leaked work: local %d + stolen %d != submitted %d", local, steals, subs)

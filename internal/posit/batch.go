@@ -4,9 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"positbench/internal/pool"
 )
 
 // Batch conversion between IEEE-754 binary32 streams and 32-bit posit
@@ -32,21 +31,21 @@ func (s ConvertStats) PrecisePct() float64 {
 	return 100 * float64(s.Exact) / float64(s.Total)
 }
 
-// FromFloat32Slice converts src into posit bit patterns under c.
-// dst must have len(src) capacity; if nil a new slice is allocated.
+// FromFloat32Slice converts src into posit bit patterns under c, on
+// GOMAXPROCS workers. dst must have len(src) capacity; if nil a new slice
+// is allocated.
 func (c Config) FromFloat32Slice(dst []uint32, src []float32) []uint32 {
 	return c.FromFloat32SliceWorkers(dst, src, 0)
 }
 
-// FromFloat32SliceWorkers is FromFloat32Slice with an explicit worker
-// count for this call only; n <= 0 falls back to the SetBatchWorkers /
-// GOMAXPROCS default. Serving paths use the per-call form so one request's
-// knob cannot perturb another's.
+// FromFloat32SliceWorkers is FromFloat32Slice on n workers (n <= 0 means
+// GOMAXPROCS). Serving paths pass each request's own count, and callers
+// that already run one conversion per worker pass 1.
 func (c Config) FromFloat32SliceWorkers(dst []uint32, src []float32, n int) []uint32 {
 	if dst == nil {
 		dst = make([]uint32, len(src))
 	}
-	parallelRangeN(len(src), n, func(lo, hi int) {
+	spread(len(src), n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = uint32(c.FromFloat32(src[i]))
 		}
@@ -54,24 +53,25 @@ func (c Config) FromFloat32SliceWorkers(dst []uint32, src []float32, n int) []ui
 	return dst[:len(src)]
 }
 
-// ToFloat32Slice converts posit bit patterns back to float32.
+// ToFloat32Slice converts posit bit patterns back to float32, on
+// GOMAXPROCS workers.
 func (c Config) ToFloat32Slice(dst []float32, src []uint32) []float32 {
 	return c.ToFloat32SliceWorkers(dst, src, 0)
 }
 
-// ToFloat32SliceWorkers is ToFloat32Slice with a per-call worker count
-// (n <= 0 selects the package default).
+// ToFloat32SliceWorkers is ToFloat32Slice on n workers (n <= 0 means
+// GOMAXPROCS).
 func (c Config) ToFloat32SliceWorkers(dst []float32, src []uint32, n int) []float32 {
 	if dst == nil {
 		dst = make([]float32, len(src))
 	}
 	if c.kernelOK() {
-		parallelRangeN(len(src), n, func(lo, hi int) {
+		spread(len(src), n, func(_, lo, hi int) {
 			c.decode32Batch(dst[lo:hi], src[lo:hi])
 		})
 		return dst[:len(src)]
 	}
-	parallelRangeN(len(src), n, func(lo, hi int) {
+	spread(len(src), n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.ToFloat32(uint64(src[i]))
 		}
@@ -79,52 +79,37 @@ func (c Config) ToFloat32SliceWorkers(dst []float32, src []uint32, n int) []floa
 	return dst[:len(src)]
 }
 
-// RoundtripStats converts src to posits and back, reporting how many values
-// survive exactly. NaN inputs count as exact when the roundtrip returns any
-// NaN (posits collapse all NaNs to NaR).
+// RoundtripStats converts src to posits and back on GOMAXPROCS workers,
+// reporting how many values survive exactly. NaN inputs count as exact
+// when the roundtrip returns any NaN (posits collapse all NaNs to NaR).
 func (c Config) RoundtripStats(src []float32) ConvertStats {
 	return c.RoundtripStatsWorkers(src, 0)
 }
 
-// RoundtripStatsWorkers is RoundtripStats with a per-call worker count
-// (nWorkers <= 0 selects the package default).
+// RoundtripStatsWorkers is RoundtripStats on nWorkers workers (nWorkers
+// <= 0 means GOMAXPROCS).
 func (c Config) RoundtripStatsWorkers(src []float32, nWorkers int) ConvertStats {
-	nw := clampWorkers(nWorkers, len(src))
-	partial := make([]ConvertStats, nw)
-	var wg sync.WaitGroup
-	chunk := (len(src) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(src) {
-			hi = len(src)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			st := &partial[w]
-			for i := lo; i < hi; i++ {
-				f := src[i]
-				back := c.ToFloat32(uint64(c.FromFloat32(f)))
-				st.Total++
-				switch {
-				case math.IsNaN(float64(f)):
-					if math.IsNaN(float64(back)) {
-						st.Exact++
-					}
-				case math.Float32bits(f) == math.Float32bits(back):
+	partial := make([]ConvertStats, pool.Workers(nWorkers))
+	spread(len(src), len(partial), func(w, lo, hi int) {
+		st := &partial[w]
+		for i := lo; i < hi; i++ {
+			f := src[i]
+			back := c.ToFloat32(uint64(c.FromFloat32(f)))
+			st.Total++
+			switch {
+			case math.IsNaN(float64(f)):
+				if math.IsNaN(float64(back)) {
 					st.Exact++
-				default:
-					if e := math.Abs(float64(back) - float64(f)); e > st.MaxAbsE {
-						st.MaxAbsE = e
-					}
+				}
+			case math.Float32bits(f) == math.Float32bits(back):
+				st.Exact++
+			default:
+				if e := math.Abs(float64(back) - float64(f)); e > st.MaxAbsE {
+					st.MaxAbsE = e
 				}
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	var total ConvertStats
 	for _, p := range partial {
 		total.Total += p.Total
@@ -193,70 +178,18 @@ func (c Config) ConvertFileF32ToPosit(f32 []byte) ([]byte, ConvertStats, error) 
 	return EncodeWordsLE(words), stats, nil
 }
 
-// batchWorkers, when positive, caps the goroutine count of the batch
-// converters; zero means "use GOMAXPROCS".
-var batchWorkers atomic.Int32
-
-// SetBatchWorkers caps the worker count used by the slice converters and
-// RoundtripStats (the CLIs' -p flag lands here). n <= 0 restores the
-// GOMAXPROCS default. Safe to call concurrently with conversions; running
-// conversions keep the count they started with.
-func SetBatchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	batchWorkers.Store(int32(n))
-}
-
-// workers picks a worker count for n items from the package default.
-func workers(n int) int { return clampWorkers(0, n) }
-
-// clampWorkers resolves an explicit per-call worker count (or the package
-// default when nw <= 0) and clamps it to [1, n].
-func clampWorkers(nw, n int) int {
-	if nw <= 0 {
-		nw = int(batchWorkers.Load())
-	}
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
-}
-
-// parallelRange splits [0,n) across GOMAXPROCS goroutines. Each worker
-// receives a contiguous half-open interval; results must be written to
-// per-index slots so output is deterministic.
-func parallelRange(n int, fn func(lo, hi int)) { parallelRangeN(n, 0, fn) }
-
-// parallelRangeN is parallelRange with an explicit worker count (nWorkers
-// <= 0 selects the package default).
-func parallelRangeN(n, nWorkers int, fn func(lo, hi int)) {
-	nw := clampWorkers(nWorkers, n)
-	if nw == 1 {
-		fn(0, n)
+// spread cuts [0,n) into one contiguous range per worker, at most
+// pool.Workers(workers) ranges, and runs fn(i, lo, hi) for the i-th range
+// on its own pool.Run item. Each range writes only its own outputs, so
+// results do not depend on scheduling.
+func spread(n, workers int, fn func(i, lo, hi int)) {
+	if n == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parts := pool.Workers(workers)
+	size := (n + parts - 1) / parts
+	pool.Run(parts, (n+size-1)/size, func(i int) {
+		lo := i * size
+		fn(i, lo, min(lo+size, n))
+	})
 }

@@ -10,12 +10,13 @@ import (
 // 64-bit data. Works with any 64-bit posit configuration (posit<64,2> is
 // the standard; posit<64,3> mirrors the paper's es choice).
 
-// FromFloat64Slice converts float64 values to posit bit patterns under c.
+// FromFloat64Slice converts float64 values to posit bit patterns under c,
+// on GOMAXPROCS workers.
 func (c Config) FromFloat64Slice(dst []uint64, src []float64) []uint64 {
 	if dst == nil {
 		dst = make([]uint64, len(src))
 	}
-	parallelRange(len(src), func(lo, hi int) {
+	spread(len(src), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.FromFloat64(src[i])
 		}
@@ -23,12 +24,13 @@ func (c Config) FromFloat64Slice(dst []uint64, src []float64) []uint64 {
 	return dst[:len(src)]
 }
 
-// ToFloat64Slice converts posit bit patterns back to float64.
+// ToFloat64Slice converts posit bit patterns back to float64, on
+// GOMAXPROCS workers.
 func (c Config) ToFloat64Slice(dst []float64, src []uint64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(src))
 	}
-	parallelRange(len(src), func(lo, hi int) {
+	spread(len(src), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.ToFloat64(src[i])
 		}
