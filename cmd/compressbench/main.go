@@ -14,7 +14,6 @@
 //	compressbench -ds [-max-out N] input.pbs output      (decode a stream)
 //	compressbench -index input.pbs                       (trailer report)
 //	compressbench -range off:len [-max-out N] input.pbs output
-//	compressbench -workers-sweep [-codecs ...] [-sweep-bytes N] [file ...]
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 	"positbench/internal/lc"
 	"positbench/internal/pool"
 	"positbench/internal/stats"
-	"positbench/internal/sweep"
 )
 
 func main() {
@@ -63,9 +61,6 @@ func run(args []string, stdout io.Writer) error {
 	chunkSize := fs.Int("chunk", 0, "chunk size in bytes for -zs (0 = default)")
 	indexFlag := fs.Bool("index", false, "report the seek-index trailer of a stream: chunks, layout, overhead")
 	rangeSpec := fs.String("range", "", "decode only the window off:len of an indexed stream (e.g. -range 65536:4096)")
-	workersSweep := fs.Bool("workers-sweep", false,
-		"measure per-core scaling curves (codec x direction x workers 1,2,4,8) over the input files (or a synthetic field), emit them as JSON instead of the ratio table, and fail if parallel falls below serial on any row")
-	sweepBytes := fs.Int("sweep-bytes", 0, "synthetic input size for -workers-sweep when no files are given (0 = 4 MiB)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,9 +73,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *zName != "" || *dFlag {
 		return runFramed(*zName, *dFlag, *maxOut, files, stdout)
-	}
-	if *workersSweep {
-		return runSweep(*names, *sweepBytes, files, stdout)
 	}
 	if len(files) == 0 {
 		return fmt.Errorf("need at least one input file")
@@ -247,62 +239,6 @@ func run(args []string, stdout io.Writer) error {
 	table.AddRow(geoRow...)
 	fmt.Fprint(stdout, table.String())
 	return nil
-}
-
-// scalingTolPct is how far parallel throughput may fall below serial on
-// any -workers-sweep row before the run fails (sweep.CheckScaling widens
-// it on a 1-CPU machine).
-const scalingTolPct = 10
-
-// runSweep implements -workers-sweep, which `make bench-scaling` runs as
-// the CI gate: it prints the per-core scaling report, then fails if any
-// row breaks sweep.CheckScaling. Input files are concatenated into the
-// benchmark payload; with no files a synthetic smooth float field stands
-// in.
-func runSweep(names string, sweepBytes int, files []string, stdout io.Writer) error {
-	var codecs []compress.Codec
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "lc" {
-			continue // the LC search is a ratio tool, not a streaming codec
-		}
-		c, err := all.Get(n)
-		if err != nil {
-			return err
-		}
-		codecs = append(codecs, c)
-	}
-	var input []byte
-	for _, path := range files {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		input = append(input, blob...)
-	}
-	rep, err := sweep.Run(sweep.Options{Codecs: codecs, Input: input, Bytes: sweepBytes})
-	if err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if _, err := stdout.Write(blob); err != nil {
-		return err
-	}
-	return checkScaling(rep)
-}
-
-// checkScaling turns the report's scaling check into an error that lists
-// every failing row, one per line.
-func checkScaling(rep *sweep.BenchReport) error {
-	probs := sweep.CheckScaling(rep, scalingTolPct)
-	if len(probs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%d scaling check(s) failed:\n  %s", len(probs), strings.Join(probs, "\n  "))
 }
 
 // runFramed implements the -z / -d single-file modes over the container

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"positbench/internal/stats"
-	"positbench/internal/sweep"
 )
 
 func writeField(t *testing.T, dir, name string, n int) string {
@@ -257,63 +256,5 @@ func TestStreamModes(t *testing.T) {
 
 	if err := run([]string{"-zs", "gzip", "-ds", orig, back}, &out); err == nil {
 		t.Error("-zs with -ds accepted")
-	}
-}
-
-// TestCheckScalingExitStatus drives the -workers-sweep gate with synthetic
-// reports, so no timing is involved: every row that falls more than 10%
-// below serial is listed in the error, named by codec, worker count and
-// direction, and a 1-CPU report keeps its 25% widening.
-func TestCheckScalingExitStatus(t *testing.T) {
-	row := func(codec string, workers int, serEnc, parEnc, serDec, parDec float64) sweep.BenchResult {
-		return sweep.BenchResult{Codec: codec, Workers: workers,
-			SerialMBps: serEnc, ParallelMBps: parEnc,
-			SerialDecodeMBps: serDec, ParallelDecodeMBps: parDec}
-	}
-	healthy := &sweep.BenchReport{NumCPU: 4, Results: []sweep.BenchResult{
-		row("xz", 1, 10, 9.5, 40, 39),
-		row("xz", 4, 10, 33, 40, 42),
-	}}
-	if err := checkScaling(healthy); err != nil {
-		t.Fatalf("healthy curve failed: %v", err)
-	}
-
-	broken := &sweep.BenchReport{NumCPU: 4, Results: []sweep.BenchResult{
-		row("bzip2", 4, 10, 5, 40, 42),
-		row("fpc32", 2, 10, 11, 40, 30),
-		row("gzip", 8, 10, 9.5, 40, 39),
-	}}
-	err := checkScaling(broken)
-	if err == nil {
-		t.Fatal("rows below serial passed the gate")
-	}
-	for _, want := range []string{
-		"2 scaling check(s) failed",
-		"bzip2 w=4: parallel compress",
-		"fpc32 w=2: parallel decode",
-		"(tol 10%)",
-	} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error missing %q:\n%v", want, err)
-		}
-	}
-	if strings.Contains(err.Error(), "gzip") {
-		t.Errorf("row within 10%% listed:\n%v", err)
-	}
-
-	// A 20% dip is same-code noise on one CPU and a failure on four.
-	dip := &sweep.BenchReport{NumCPU: 1, Results: []sweep.BenchResult{row("gzip", 4, 10, 8, 40, 32)}}
-	if err := checkScaling(dip); err != nil {
-		t.Errorf("1-CPU 20%% dip failed: %v", err)
-	}
-	dip.NumCPU = 4
-	if err := checkScaling(dip); err == nil || !strings.Contains(err.Error(), "2 scaling check(s) failed") {
-		t.Errorf("multi-CPU 20%% dip in both directions: got %v", err)
-	}
-	dip.NumCPU = 1
-	dip.Results[0].ParallelDecodeMBps = 28
-	if err := checkScaling(dip); err == nil || !strings.Contains(err.Error(), "gzip w=4: parallel decode") ||
-		!strings.Contains(err.Error(), "(tol 25%)") {
-		t.Errorf("1-CPU 30%% decode dip: got %v", err)
 	}
 }

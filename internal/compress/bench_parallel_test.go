@@ -2,30 +2,48 @@ package compress_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"testing"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
-	"positbench/internal/sweep"
 )
 
-// Serial-vs-parallel stream benchmarks over every registry codec, on the
-// sweep package's synthetic float field. `make bench-smoke` races one pass
-// of them on a small input; speed claims come from the perfbench module
-// and the per-core gate from `make bench-scaling`.
+// Serial-vs-parallel stream benchmarks over every registry codec, on a
+// synthetic float field cut into four chunks, so the parallel side always
+// has chunks to overlap. Run them by hand to compare serial and parallel
+// on one machine:
+//
+//	go test -run '^$' -bench '^BenchmarkStream' -cpu 1,2 ./internal/compress
+//
+// `make bench-smoke` races one pass of them on a small input; speed claims
+// come from the perfbench module.
 
 var benchBytes = flag.Int("bench-bytes", 4<<20, "benchmark input size; `make bench-smoke` shrinks it to run under -race")
 
-const (
-	benchChunk   = 1 << 20
-	benchWorkers = 4
-)
+const benchWorkers = 4
+
+// syntheticInput builds n bytes of smooth float32 field with light noise,
+// the same flavour of data as the study's SDRBench-style inputs, so
+// per-codec throughput is measured on realistic entropy.
+func syntheticInput(n int) []byte {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 0, n)
+	for i := 0; i < n/4; i++ {
+		v := float32(math.Sin(float64(i)/97) + 0.01*rng.NormFloat64())
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	}
+	return buf
+}
 
 func BenchmarkStreamCompress(b *testing.B) {
-	data := sweep.SyntheticInput(*benchBytes)
+	data := syntheticInput(*benchBytes)
+	chunk := *benchBytes / 4 // 1 MiB chunks at the default size
 	for _, c := range all.Raw() {
 		c := c
 		b.Run(c.Name()+"/serial", func(b *testing.B) {
@@ -33,7 +51,7 @@ func BenchmarkStreamCompress(b *testing.B) {
 			var dst bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				dst.Reset()
-				w := compress.NewWriter(c, &dst, benchChunk)
+				w := compress.NewWriter(c, &dst, chunk)
 				if _, err := w.Write(data); err != nil {
 					b.Fatal(err)
 				}
@@ -47,7 +65,7 @@ func BenchmarkStreamCompress(b *testing.B) {
 			var dst bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				dst.Reset()
-				w := compress.NewParallelWriter(c, &dst, benchChunk, benchWorkers)
+				w := compress.NewParallelWriter(c, &dst, chunk, benchWorkers)
 				if _, err := w.Write(data); err != nil {
 					b.Fatal(err)
 				}
@@ -61,11 +79,12 @@ func BenchmarkStreamCompress(b *testing.B) {
 
 // BenchmarkStreamDecompress covers the read side of the same streams.
 func BenchmarkStreamDecompress(b *testing.B) {
-	data := sweep.SyntheticInput(*benchBytes)
+	data := syntheticInput(*benchBytes)
+	chunk := *benchBytes / 4 // 1 MiB chunks at the default size
 	for _, c := range all.Raw() {
 		c := c
 		var enc bytes.Buffer
-		w := compress.NewWriter(c, &enc, benchChunk)
+		w := compress.NewWriter(c, &enc, chunk)
 		if _, err := w.Write(data); err != nil {
 			b.Fatal(err)
 		}

@@ -633,6 +633,9 @@ func readFrameInto(src *bufio.Reader, lim DecodeLimits, buf []byte) ([]byte, err
 	// chunk size reads in one ReadFull with no allocation.
 	need := int(compLen)
 	buf = buf[:0]
+	if buf == nil {
+		buf = []byte{} // nil means the terminator; an empty body is a chunk
+	}
 	for len(buf) < need {
 		if len(buf) == cap(buf) {
 			grow := 2 * cap(buf)

@@ -175,6 +175,27 @@ func TestStreamMismatchedLength(t *testing.T) {
 	}
 }
 
+// TestStreamEmptyChunkBody: a prefix declaring an empty chunk body
+// (uvarint 1) starts a chunk that fails to decode; it is not the stream
+// terminator (uvarint 0), whether it opens the stream or follows a good
+// chunk, and the serial and parallel readers agree.
+func TestStreamEmptyChunkBody(t *testing.T) {
+	for _, stream := range [][]byte{
+		{1, 0},
+		{5, 0xA5, 'a', 'b', 'c', 1, 0},
+	} {
+		if _, err := io.ReadAll(NewReader(passthrough{}, bytes.NewReader(stream))); err == nil {
+			t.Errorf("serial reader accepted %v", stream)
+		}
+		r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
+		_, err := io.ReadAll(r)
+		r.Close()
+		if err == nil {
+			t.Errorf("parallel reader accepted %v", stream)
+		}
+	}
+}
+
 func TestStreamChunkLengthBomb(t *testing.T) {
 	// A forged 1 EiB chunk-length prefix must trip the limit check before
 	// any allocation proportional to it.

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
@@ -42,7 +43,8 @@ type Options struct {
 	// Workers bounds the concurrent input preparations, codec runs and LC
 	// pipeline trials (default GOMAXPROCS; the CLIs' -p flag lands here).
 	Workers int
-	// Progress, if non-nil, receives one line per completed step.
+	// Progress, if non-nil, receives one line per completed step. Run
+	// serializes the calls, so Progress needs no locking of its own.
 	Progress func(format string, args ...interface{})
 }
 
@@ -55,6 +57,14 @@ func (o *Options) fill() {
 	}
 	if o.Progress == nil {
 		o.Progress = func(string, ...interface{}) {}
+		return
+	}
+	// Codec cells finish on concurrent pool workers.
+	progress, mu := o.Progress, new(sync.Mutex)
+	o.Progress = func(format string, args ...interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		progress(format, args...)
 	}
 }
 

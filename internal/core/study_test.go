@@ -3,8 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
@@ -200,6 +203,36 @@ func TestStudyWithoutLC(t *testing.T) {
 	}
 	if _, err := st.Figure6(); err == nil {
 		t.Fatal("Figure6 must require WithLC")
+	}
+}
+
+// TestProgressSerialized checks that Run never has two cell workers inside
+// Progress at once, so a callback that writes one io.Writer needs no lock.
+func TestProgressSerialized(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	lz4, err := all.Get("lz4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, inFlight, overlaps atomic.Int32
+	_, err = Run(Options{
+		ValuesPerInput: 256,
+		Codecs:         []compress.Codec{lz4},
+		Workers:        2,
+		Progress: func(string, ...interface{}) {
+			calls.Add(1)
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			time.Sleep(time.Millisecond) // widen the window a second worker could enter
+			inFlight.Add(-1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Errorf("%d of %d Progress calls overlapped another", n, calls.Load())
 	}
 }
 
