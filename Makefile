@@ -1,9 +1,9 @@
 # Build, test, and robustness gates for positbench.
 #
-#   make check       vet + build + unit tests (the tier-1 gate), plus vet
-#                    and tests of the perfbench benchmark module, so a
-#                    change that breaks the benchmark's build fails here;
-#                    vet covers the e2e-tagged soaks too
+#   make check       gofmt + vet + build + unit tests (the tier-1 gate),
+#                    plus vet and tests of the perfbench benchmark module,
+#                    so a change that breaks the benchmark's build fails
+#                    here; vet covers the e2e-tagged soaks too
 #   make race        unit tests under the race detector
 #   make fuzz-smoke  10 s of fuzzing per fuzz target (seeded with
 #                    known-bad frames; catches decode-path panics fast)
@@ -37,8 +37,11 @@ check: vet build test
 # perfbench is its own module (it replaces positbench with ../), so ./...
 # from the root does not reach it. The e2e tag brings internal/e2e into
 # vet, so a change that breaks the soaks fails here; test and race leave
-# that package out.
+# that package out. gofmt walks directories, not modules, so it covers
+# perfbench too; any file it lists fails the target.
 vet:
+	@unformatted=$$(gofmt -l .) || exit 1; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet -tags e2e ./...
 	$(GO) -C perfbench vet ./...
 

@@ -31,7 +31,7 @@ func BenchmarkComponentInverse(b *testing.B) {
 		b.Run(c.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Inverse(fwd); err != nil {
+				if _, err := c.Inverse(fwd, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package lc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -9,15 +10,6 @@ import (
 	"positbench/internal/huffman"
 	"positbench/internal/mtf"
 )
-
-// LimitedInverter is implemented by components whose Inverse can allocate
-// output much larger than its input (the word counts in RZE/RARE/RAZE/HUF
-// headers and RLE runs are attacker-controlled). InverseLimit must return
-// compress.ErrLimitExceeded before materializing output beyond maxOut bytes;
-// maxOut <= 0 means unbounded.
-type LimitedInverter interface {
-	InverseLimit(src []byte, maxOut int) ([]byte, error)
-}
 
 // checkDeclaredWords validates output sizes declared in a stage header
 // (nWords words of four bytes plus tailLen ragged bytes) against the stage's
@@ -103,17 +95,6 @@ func decodeBitmapBody(src []byte, n int) ([]byte, int, error) {
 	}
 }
 
-// packFlags packs one bit per word, MSB-first.
-func packFlags(flags []bool) []byte {
-	out := make([]byte, (len(flags)+7)/8)
-	for i, f := range flags {
-		if f {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return out
-}
-
 // --- RLE ---------------------------------------------------------------------
 
 // rle is byte-level run-length coding (the RLE1 scheme shared with the
@@ -123,9 +104,7 @@ type rle struct{}
 func (rle) Name() string { return "RLE" }
 
 func (rle) Forward(src []byte) ([]byte, error) { return mtf.RLE1(src), nil }
-func (rle) Inverse(src []byte) ([]byte, error) { return mtf.UnRLE1(src) }
-
-func (rle) InverseLimit(src []byte, maxOut int) ([]byte, error) {
+func (rle) Inverse(src []byte, maxOut int) ([]byte, error) {
 	return mtf.UnRLE1Limit(src, maxOut)
 }
 
@@ -139,25 +118,25 @@ type rze struct{}
 func (rze) Name() string { return "RZE" }
 
 func (rze) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	flags := make([]bool, len(words))
-	var nz []uint32
-	for i, w := range words {
-		if w != 0 {
-			flags[i] = true
-			nz = append(nz, w)
+	n := len(src) / 4
+	occupied := make([]byte, (n+7)/8)
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
+			occupied[i/8] |= 1 << (7 - i%8)
 		}
 	}
-	out := bitio.PutUvarint(nil, uint64(len(words)))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
-	out = append(out, encodeBitmapBody(packFlags(flags))...)
-	out = append(out, joinWords(nz, tail)...)
-	return out, nil
+	out := bitio.PutUvarint(nil, uint64(n))
+	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
+	out = append(out, encodeBitmapBody(occupied)...)
+	for i := 0; i < n; i++ {
+		if occupied[i/8]>>(7-i%8)&1 == 1 {
+			out = append(out, src[4*i:4*i+4]...)
+		}
+	}
+	return append(out, src[4*n:]...), nil
 }
 
-func (rze) Inverse(src []byte) ([]byte, error) { return rze{}.InverseLimit(src, 0) }
-
-func (rze) InverseLimit(src []byte, maxOut int) ([]byte, error) {
+func (rze) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)
 	if err != nil {
 		return nil, fmt.Errorf("lc/RZE: %w", err)
@@ -180,46 +159,63 @@ func (rze) InverseLimit(src []byte, maxOut int) ([]byte, error) {
 		return nil, fmt.Errorf("lc/RZE: %w", err)
 	}
 	src = src[used:]
-	words := make([]uint32, n)
+	if tailLen > uint64(len(src)) {
+		return nil, compress.Errorf(compress.ErrTruncated, "lc/RZE: truncated tail")
+	}
+	out := make([]byte, 4*n, 4*n+int(tailLen))
 	pos := 0
 	for i := 0; i < n; i++ {
 		if bm[i/8]>>(7-i%8)&1 == 1 {
 			if pos+4 > len(src) {
 				return nil, compress.Errorf(compress.ErrTruncated, "lc/RZE: truncated words")
 			}
-			words[i] = uint32(src[pos]) | uint32(src[pos+1])<<8 | uint32(src[pos+2])<<16 | uint32(src[pos+3])<<24
+			copy(out[4*i:], src[pos:pos+4])
 			pos += 4
 		}
 	}
 	if len(src)-pos != int(tailLen) {
 		return nil, compress.Errorf(compress.ErrCorrupt, "lc/RZE: tail mismatch")
 	}
-	return joinWords(words, src[pos:]), nil
+	return append(out, src[pos:]...), nil
 }
 
 // --- RARE / RAZE ---------------------------------------------------------------
 
-// topCoder implements the shared structure of RARE and RAZE: a per-word
-// flag (top k bits repeat / are zero), the k-bit tops of unflagged words,
-// and the (32-k)-bit bottoms of all words. k is chosen per block to
-// minimize the pre-bitmap-compression size.
+// topCoder implements RARE and RAZE: a per-word flag (top k bits repeat
+// the previous word's for RARE, are zero for RAZE), the k-bit tops of
+// unflagged words, and the (32-k)-bit bottoms of all words. k is chosen per
+// block to minimize the pre-bitmap-compression size.
 type topCoder struct {
-	name string
-	// flagged reports, per word, the leading-bit count that makes the word
-	// flaggable at a given k: for RARE the number of leading bits equal to
-	// the previous word's, for RAZE the number of leading zero bits.
-	leadBits func(w, prev uint32) int
+	name   string
+	repeat bool // RARE; RAZE otherwise
 }
 
 func (t topCoder) Name() string { return t.name }
 
+// leadBits is the leading-bit count that makes w flaggable at a given k:
+// the bits equal to prev's for RARE, the zero bits for RAZE.
+func (t topCoder) leadBits(w, prev uint32) int {
+	if t.repeat {
+		w ^= prev
+	}
+	return bits.LeadingZeros32(w)
+}
+
+// flaggedTop reconstructs the implied top k bits of a flagged word.
+func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
+	if t.repeat {
+		return prev >> (32 - uint(k))
+	}
+	return 0
+}
+
 func (t topCoder) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
+	n := len(src) / 4
 	// Histogram of lead-bit counts -> flagged(k) via suffix sums.
 	var hist [33]int
 	prev := uint32(0)
-	for _, w := range words {
+	for i := 0; i < n; i++ {
+		w := binary.LittleEndian.Uint32(src[4*i:])
 		hist[t.leadBits(w, prev)]++
 		prev = w
 	}
@@ -237,13 +233,14 @@ func (t topCoder) Forward(src []byte) ([]byte, error) {
 		}
 	}
 	k := bestK
-	flags := make([]bool, n)
+	flags := make([]byte, (n+7)/8)
 	prev = 0
 	tops := bitio.NewWriter(n/2 + 8)
 	bottoms := bitio.NewWriter(n*4 + 8)
-	for i, w := range words {
+	for i := 0; i < n; i++ {
+		w := binary.LittleEndian.Uint32(src[4*i:])
 		if t.leadBits(w, prev) >= k {
-			flags[i] = true
+			flags[i/8] |= 1 << (7 - i%8)
 		} else {
 			tops.WriteBits(uint64(w>>(32-uint(k))), uint(k))
 		}
@@ -251,19 +248,17 @@ func (t topCoder) Forward(src []byte) ([]byte, error) {
 		prev = w
 	}
 	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
+	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
 	out = append(out, byte(k))
-	out = append(out, encodeBitmapBody(packFlags(flags))...)
+	out = append(out, encodeBitmapBody(flags)...)
 	tb := tops.Bytes()
 	out = bitio.PutUvarint(out, uint64(len(tb)))
 	out = append(out, tb...)
 	out = append(out, bottoms.Bytes()...)
-	return append(out, tail...), nil
+	return append(out, src[4*n:]...), nil
 }
 
-func (t topCoder) Inverse(src []byte) ([]byte, error) { return t.InverseLimit(src, 0) }
-
-func (t topCoder) InverseLimit(src []byte, maxOut int) ([]byte, error) {
+func (t topCoder) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, used, err := bitio.Uvarint(src)
 	if err != nil {
 		return nil, fmt.Errorf("lc/%s: %w", t.name, err)
@@ -307,7 +302,7 @@ func (t topCoder) InverseLimit(src []byte, maxOut int) ([]byte, error) {
 		return nil, compress.Errorf(compress.ErrCorrupt, "lc/%s: have %d bytes, need %d", t.name, len(src), bottomBytes+int(tailLen64))
 	}
 	bottoms := bitio.NewReader(src[:bottomBytes])
-	words := make([]uint32, n)
+	out := make([]byte, 4*n, 4*n+int(tailLen64))
 	prev := uint32(0)
 	for i := 0; i < n; i++ {
 		var top uint32
@@ -325,42 +320,10 @@ func (t topCoder) InverseLimit(src []byte, maxOut int) ([]byte, error) {
 			return nil, fmt.Errorf("lc/%s: bottoms: %w", t.name, err)
 		}
 		w := top<<(32-uint(k)) | uint32(bot)
-		words[i] = w
+		binary.LittleEndian.PutUint32(out[4*i:], w)
 		prev = w
 	}
-	return joinWords(words, src[bottomBytes:]), nil
-}
-
-// flaggedTop reconstructs the implied top bits of a flagged word.
-func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
-	if t.name == "RAZE" {
-		return 0
-	}
-	return prev >> (32 - uint(k))
-}
-
-// rare flags words whose top k bits repeat the previous word's.
-type rare struct{ topCoder }
-
-func newRARE() rare {
-	return rare{topCoder{
-		name: "RARE",
-		leadBits: func(w, prev uint32) int {
-			return bits.LeadingZeros32(w ^ prev)
-		},
-	}}
-}
-
-// raze flags words whose top k bits are zero.
-type raze struct{ topCoder }
-
-func newRAZE() raze {
-	return raze{topCoder{
-		name: "RAZE",
-		leadBits: func(w, prev uint32) int {
-			return bits.LeadingZeros32(w)
-		},
-	}}
+	return append(out, src[bottomBytes:]...), nil
 }
 
 // --- HUF ----------------------------------------------------------------------
@@ -399,9 +362,7 @@ func (huf) Forward(src []byte) ([]byte, error) {
 	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
 }
 
-func (huf) Inverse(src []byte) ([]byte, error) { return huf{}.InverseLimit(src, 0) }
-
-func (huf) InverseLimit(src []byte, maxOut int) ([]byte, error) {
+func (huf) Inverse(src []byte, maxOut int) ([]byte, error) {
 	if len(src) < 1 {
 		return nil, compress.Errorf(compress.ErrTruncated, "lc/HUF: empty input")
 	}

@@ -20,8 +20,12 @@ type Component interface {
 	Name() string
 	// Forward transforms src; the result may have any length.
 	Forward(src []byte) ([]byte, error)
-	// Inverse exactly undoes Forward.
-	Inverse(src []byte) ([]byte, error)
+	// Inverse exactly undoes Forward. Stages whose header declares the
+	// output size (BIT, BYTE, RZE, RARE, RAZE, HUF) or whose runs expand it
+	// (RLE) read attacker-controlled counts: they return
+	// compress.ErrLimitExceeded before materializing more than maxOut
+	// bytes. maxOut <= 0 means unbounded.
+	Inverse(src []byte, maxOut int) ([]byte, error)
 }
 
 // Components returns the full component library in canonical (ID) order.
@@ -29,20 +33,20 @@ type Component interface {
 // the LC container format.
 func Components() []Component {
 	return []Component{
-		nul{},                                // 0
-		diff{},                               // 1
-		diffMS{},                             // 2
-		diffNB{},                             // 3
-		xorDelta{},                           // 4
-		bitT{},                               // 5
-		byteT{},                              // 6
-		rle{},                                // 7
-		rze{},                                // 8
-		newRARE(),                            // 9
-		newRAZE(),                            // 10
-		huf{},                                // 11
-		diffStride{name: "DIFF4", stride: 4}, // 12
-		xorStride{name: "XOR4", stride: 4},   // 13
+		nul{},                                   // 0
+		predictor{"DIFF", 1, delta},             // 1
+		predictor{"DIFFMS", 1, zigzagDelta},     // 2
+		predictor{"DIFFNB", 1, negabinaryDelta}, // 3
+		predictor{"XOR", 1, xorDelta},           // 4
+		bitT{},                                  // 5
+		byteT{},                                 // 6
+		rle{},                                   // 7
+		rze{},                                   // 8
+		topCoder{"RARE", true},                  // 9
+		topCoder{"RAZE", false},                 // 10
+		huf{},                                   // 11
+		predictor{"DIFF4", 4, delta},            // 12
+		predictor{"XOR4", 4, xorDelta},          // 13
 	}
 }
 
@@ -81,6 +85,6 @@ func joinWords(words []uint32, tail []byte) []byte {
 // search space contains every 1- and 2-stage pipeline as well.
 type nul struct{}
 
-func (nul) Name() string                       { return "NUL" }
-func (nul) Forward(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
-func (nul) Inverse(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
+func (nul) Name() string                              { return "NUL" }
+func (nul) Forward(src []byte) ([]byte, error)        { return append([]byte(nil), src...), nil }
+func (nul) Inverse(src []byte, _ int) ([]byte, error) { return append([]byte(nil), src...), nil }

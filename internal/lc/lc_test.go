@@ -37,7 +37,7 @@ func TestComponentInvertibility(t *testing.T) {
 				if err != nil {
 					t.Fatalf("case %d: forward: %v", i, err)
 				}
-				back, err := c.Inverse(fwd)
+				back, err := c.Inverse(fwd, 0)
 				if err != nil {
 					t.Fatalf("case %d: inverse: %v", i, err)
 				}
@@ -59,7 +59,7 @@ func TestComponentInvertibilityQuick(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				back, err := c.Inverse(fwd)
+				back, err := c.Inverse(fwd, 0)
 				return err == nil && bytes.Equal(back, src)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -53,26 +53,22 @@ func (p Pipeline) Apply(src []byte) ([]byte, error) {
 	return cur, nil
 }
 
-// Invert runs all inverse stages in reverse order with no output bound; use
-// InvertLimit on untrusted input.
+// Invert runs all inverse stages in reverse order with no output bound;
+// Codec.DecompressLimits bounds untrusted input.
 func (p Pipeline) Invert(comp []byte) ([]byte, error) {
-	return p.InvertLimit(comp, 0)
+	return p.invert(comp, 0)
 }
 
-// InvertLimit runs all inverse stages in reverse order, holding every
+// invert runs all inverse stages in reverse order, holding every
 // intermediate (and the final output) under maxOut bytes (maxOut <= 0 means
-// unbounded). Stages implementing LimitedInverter enforce the bound before
-// allocating; for the rest the intermediate is checked after the stage runs.
-func (p Pipeline) InvertLimit(comp []byte, maxOut int) ([]byte, error) {
+// unbounded). Stages that read a declared size check the bound before they
+// allocate; every intermediate is checked again after its stage runs.
+func (p Pipeline) invert(comp []byte, maxOut int) ([]byte, error) {
 	cur := comp
 	for i := len(p.Stages) - 1; i >= 0; i-- {
 		s := p.Stages[i]
 		var err error
-		if li, ok := s.(LimitedInverter); ok && maxOut > 0 {
-			cur, err = li.InverseLimit(cur, maxOut)
-		} else {
-			cur, err = s.Inverse(cur)
-		}
+		cur, err = s.Inverse(cur, maxOut)
 		if err != nil {
 			return nil, fmt.Errorf("lc: inverse stage %s: %w", s.Name(), err)
 		}
@@ -159,7 +155,7 @@ func (c *Codec) DecompressLimits(comp []byte, lim compress.DecodeLimits) ([]byte
 	if maxOut < int64(outCap) {
 		outCap = int(maxOut)
 	}
-	return p.InvertLimit(comp[1+nStages:], outCap)
+	return p.invert(comp[1+nStages:], outCap)
 }
 
 var _ compress.Codec = (*Codec)(nil)

@@ -1,118 +1,103 @@
 package lc
 
+import "encoding/binary"
+
 // Predictor components: same-length word transforms that turn value
 // correlation between neighbors into small (or sparse) residuals.
 
-// diff emits the two's-complement difference sequence ("delta modulation").
-type diff struct{}
+// residual names how a predictor encodes a word against its prediction.
+type residual uint8
 
-func (diff) Name() string { return "DIFF" }
+const (
+	// delta is the two's-complement difference ("delta modulation").
+	delta residual = iota
+	// zigzagDelta is the difference in magnitude-sign (zigzag) form: small
+	// positive and negative deltas both map to values with many leading
+	// zero bits.
+	zigzagDelta
+	// negabinaryDelta is the difference in negabinary (base -2) form. It
+	// also maps small-magnitude deltas to small codes but distributes sign
+	// information across the bits, which interacts well with bit-plane
+	// transposition.
+	negabinaryDelta
+	// xorDelta is the XOR against the prediction: identical prefixes
+	// become leading zeros without carry propagation.
+	xorDelta
+)
 
-func (diff) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	prev := uint32(0)
-	for i, w := range words {
-		words[i] = w - prev
-		prev = w
+func (r residual) encode(w, pred uint32) uint32 {
+	switch r {
+	case zigzagDelta:
+		return zigzag(w - pred)
+	case negabinaryDelta:
+		return toNegabinary(w - pred)
+	case xorDelta:
+		return w ^ pred
 	}
-	return joinWords(words, tail), nil
+	return w - pred
 }
 
-func (diff) Inverse(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	acc := uint32(0)
-	for i, d := range words {
-		acc += d
-		words[i] = acc
+func (r residual) decode(e, pred uint32) uint32 {
+	switch r {
+	case zigzagDelta:
+		return pred + unzigzag(e)
+	case negabinaryDelta:
+		return pred + fromNegabinary(e)
+	case xorDelta:
+		return e ^ pred
 	}
-	return joinWords(words, tail), nil
+	return pred + e
 }
-
-// diffMS emits differences in magnitude-sign (zigzag) form: small positive
-// and negative deltas both map to values with many leading zero bits.
-// This is the first stage of the paper's best float pipeline.
-type diffMS struct{}
-
-func (diffMS) Name() string { return "DIFFMS" }
 
 func zigzag(d uint32) uint32   { return d<<1 ^ uint32(int32(d)>>31) }
 func unzigzag(z uint32) uint32 { return z>>1 ^ -(z & 1) }
-
-func (diffMS) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	prev := uint32(0)
-	for i, w := range words {
-		words[i] = zigzag(w - prev)
-		prev = w
-	}
-	return joinWords(words, tail), nil
-}
-
-func (diffMS) Inverse(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	acc := uint32(0)
-	for i, z := range words {
-		acc += unzigzag(z)
-		words[i] = acc
-	}
-	return joinWords(words, tail), nil
-}
-
-// diffNB emits differences in negabinary (base -2) form, the first stage of
-// the paper's best posit pipeline. Negabinary also maps small-magnitude
-// deltas to small codes but distributes sign information across the bits,
-// which interacts well with bit-plane transposition.
-type diffNB struct{}
-
-func (diffNB) Name() string { return "DIFFNB" }
 
 const nbMask = 0xAAAAAAAA
 
 func toNegabinary(x uint32) uint32   { return (x + nbMask) ^ nbMask }
 func fromNegabinary(n uint32) uint32 { return (n ^ nbMask) - nbMask }
 
-func (diffNB) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	prev := uint32(0)
-	for i, w := range words {
-		words[i] = toNegabinary(w - prev)
-		prev = w
-	}
-	return joinWords(words, tail), nil
+// predictor predicts each little-endian word by the word stride positions
+// back (the first stride words by zero) and emits the residual; the ragged
+// tail passes through. Stride 1 gives the paper's DIFF, DIFFMS (first stage
+// of its best float pipeline), DIFFNB (first stage of its best posit
+// pipeline) and XOR. Stride 4 extends the library beyond the paper, in the
+// spirit of LC's larger real library: scientific arrays are often
+// interleaved records or grids, where the best predictor for a word is the
+// word one record back.
+type predictor struct {
+	name     string
+	stride   int
+	residual residual
 }
 
-func (diffNB) Inverse(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	acc := uint32(0)
-	for i, n := range words {
-		acc += fromNegabinary(n)
-		words[i] = acc
+func (p predictor) Name() string { return p.name }
+
+func (p predictor) Forward(src []byte) ([]byte, error) {
+	out := make([]byte, len(src))
+	back, n := 4*p.stride, len(src)&^3
+	for i := 0; i < n; i += 4 {
+		var pred uint32
+		if i >= back {
+			pred = binary.LittleEndian.Uint32(src[i-back:])
+		}
+		binary.LittleEndian.PutUint32(out[i:], p.residual.encode(binary.LittleEndian.Uint32(src[i:]), pred))
 	}
-	return joinWords(words, tail), nil
+	copy(out[n:], src[n:])
+	return out, nil
 }
 
-// xorDelta replaces each word with its XOR against the previous word:
-// identical prefixes become leading zeros without carry propagation.
-type xorDelta struct{}
-
-func (xorDelta) Name() string { return "XOR" }
-
-func (xorDelta) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	prev := uint32(0)
-	for i, w := range words {
-		words[i] = w ^ prev
-		prev = w
+// Inverse needs no bound check: the output is exactly as long as src.
+func (p predictor) Inverse(src []byte, _ int) ([]byte, error) {
+	out := make([]byte, len(src))
+	back, n := 4*p.stride, len(src)&^3
+	for i := 0; i < n; i += 4 {
+		var pred uint32
+		if i >= back {
+			pred = binary.LittleEndian.Uint32(out[i-back:])
+		}
+		binary.LittleEndian.PutUint32(out[i:], p.residual.decode(binary.LittleEndian.Uint32(src[i:]), pred))
 	}
-	return joinWords(words, tail), nil
-}
-
-func (xorDelta) Inverse(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	acc := uint32(0)
-	for i, d := range words {
-		acc ^= d
-		words[i] = acc
-	}
-	return joinWords(words, tail), nil
+	copy(out[n:], src[n:])
+	return out, nil
 }

@@ -46,7 +46,7 @@ func (bitT) Forward(src []byte) ([]byte, error) {
 	return append(out, tail...), nil
 }
 
-func (bitT) Inverse(src []byte) ([]byte, error) {
+func (bitT) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)
 	if err != nil {
 		return nil, fmt.Errorf("lc/BIT: %w", err)
@@ -57,6 +57,11 @@ func (bitT) Inverse(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("lc/BIT: %w", err)
 	}
 	src = src[k:]
+	// A huge declared count would wrap 32*planeBytes and slip past the
+	// length check below.
+	if err := checkDeclaredWords("BIT", n64, tailLen, maxOut); err != nil {
+		return nil, err
+	}
 	n := int(n64)
 	planeBytes := (n + 7) / 8
 	need := 32*planeBytes + int(tailLen)
@@ -94,7 +99,7 @@ func (byteT) Forward(src []byte) ([]byte, error) {
 	return append(out, tail...), nil
 }
 
-func (byteT) Inverse(src []byte) ([]byte, error) {
+func (byteT) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)
 	if err != nil {
 		return nil, fmt.Errorf("lc/BYTE: %w", err)
@@ -105,6 +110,11 @@ func (byteT) Inverse(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("lc/BYTE: %w", err)
 	}
 	src = src[k:]
+	// A huge declared count would wrap 4*n and slip past the length check
+	// below.
+	if err := checkDeclaredWords("BYTE", n64, tailLen, maxOut); err != nil {
+		return nil, err
+	}
 	n := int(n64)
 	if len(src) != 4*n+int(tailLen) {
 		return nil, fmt.Errorf("lc/BYTE: have %d bytes, need %d", len(src), 4*n+int(tailLen))

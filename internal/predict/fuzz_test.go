@@ -69,7 +69,7 @@ func FuzzResidualDecode(f *testing.F) {
 		}
 		f.Add(seed) // raw floats as hostile compressed input
 	}
-	f.Add([]byte{0})                              // declared empty
+	f.Add([]byte{0})                            // declared empty
 	f.Add(bitio.PutUvarint(nil, 1<<40))         // hostile declared length
 	f.Add(append(bitio.PutUvarint(nil, 64), 7)) // unknown mode
 	lim := compress.DecodeLimits{MaxOutputBytes: 1 << 24}
