@@ -52,9 +52,9 @@ test:
 	$(GO) test ./...
 	$(GO) -C perfbench test ./...
 
-# Race instrumentation is a 10-20x slowdown and the study integration test
-# already takes ~40 s uninstrumented, so the default 10 m per-package test
-# timeout is not enough on small runners.
+# Race instrumentation is a 10-20x slowdown: the study integration test
+# takes ~12 s uninstrumented and ~3.5 min raced on 2 vCPUs, so the default
+# 10 m per-package test timeout leaves little room on small runners.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -242,12 +242,26 @@ func (st *Study) runLC() error {
 		}
 		st.Opts.Progress("lc global pipeline (%s): %s", enc, pipe)
 		if st.Opts.Verify {
-			codec := lc.NewCodec(pipe)
-			for i := range st.Inputs {
-				if _, err := compress.Roundtrip(codec, data[i]); err != nil {
-					return fmt.Errorf("lc verify: %w", err)
-				}
+			if err := st.verifyLC(enc, pipe, data, results); err != nil {
+				return err
 			}
+		}
+	}
+	return nil
+}
+
+// verifyLC roundtrips every input through pipe's lc.Codec and checks that
+// the stream is as long as the search reported: the search sizes its last
+// stage without building it, and this compares that size with real bytes.
+func (st *Study) verifyLC(enc Encoding, pipe lc.Pipeline, data [][]byte, results []lc.Result) error {
+	codec := lc.NewCodec(pipe)
+	for i, in := range st.Inputs {
+		n, err := compress.Roundtrip(codec, data[i])
+		if err != nil {
+			return fmt.Errorf("lc verify: %w", err)
+		}
+		if n != results[i].Size {
+			return fmt.Errorf("lc verify (%s, %s): %s compressed to %d bytes, the search reported %d", enc, in.Spec.Name, pipe, n, results[i].Size)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
+	"positbench/internal/lc"
 )
 
 // smallStudy runs the full study (with LC) at reduced scale, shared across
@@ -203,6 +205,41 @@ func TestStudyWithoutLC(t *testing.T) {
 	}
 	if _, err := st.Figure6(); err == nil {
 		t.Fatal("Figure6 must require WithLC")
+	}
+}
+
+// TestVerifyLCChecksSearchSize: with Verify on, a search size that
+// disagrees with the stream lc.Codec writes for the global pipeline fails
+// the study, and the error names the encoding, the input and both sizes.
+func TestVerifyLCChecksSearchSize(t *testing.T) {
+	st := &Study{Inputs: PrepareInputs(256, 1, nil)[:2]}
+	pipe, err := lc.NewPipeline("DIFFMS", "RARE", "RAZE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]byte, len(st.Inputs))
+	results := make([]lc.Result, len(st.Inputs))
+	for i, in := range st.Inputs {
+		data[i] = in.Bytes(EncPosit)
+		comp, err := lc.NewCodec(pipe).Compress(data[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i].Size = len(comp)
+	}
+	if err := st.verifyLC(EncPosit, pipe, data, results); err != nil {
+		t.Fatalf("matching sizes: %v", err)
+	}
+	streamLen := results[1].Size
+	results[1].Size++
+	err = st.verifyLC(EncPosit, pipe, data, results)
+	if err == nil {
+		t.Fatal("a wrong search size passed verification")
+	}
+	for _, want := range []string{string(EncPosit), st.Inputs[1].Spec.Name, fmt.Sprint(streamLen), fmt.Sprint(streamLen + 1)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

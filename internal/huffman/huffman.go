@@ -4,8 +4,9 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"positbench/internal/bitio"
@@ -47,84 +48,77 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 	}
 }
 
-type node struct {
-	freq        int
-	sym         int // >= 0 for leaves, -1 for internal
-	left, right int // node indices
-	order       int // tie-break for determinism
-}
-
-type nodeHeap struct {
-	nodes []node
-	idx   []int
-}
-
-func (h *nodeHeap) Len() int { return len(h.idx) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.idx[i]], h.nodes[h.idx[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return a.order < b.order
-}
-func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
+// buildOnce builds an unlimited Huffman tree over the nonzero frequencies
+// and returns each symbol's depth (truncated to uint8; callers retry when
+// maxLen exceeds their limit) and the deepest one.
+//
+// It is van Leeuwen's two-queue construction (1976): leaves sorted by
+// (freq, symbol) in one queue, merged nodes in creation order in the other.
+// Merged weights never decrease, so the smaller queue head is the global
+// minimum. Every node is ordered by (freq, then order), where a leaf's
+// order is its symbol and the k-th merged node's is len(freqs)+k; that is
+// a strict total order, so each step pops the same node a min-heap on it
+// would, and the tree (hence every length) is the heap's.
 func buildOnce(freqs []int) ([]uint8, int) {
-	n := len(freqs)
-	lengths := make([]uint8, n)
-	h := &nodeHeap{}
-	for i, f := range freqs {
+	lengths := make([]uint8, len(freqs))
+	m := 0
+	for _, f := range freqs {
 		if f > 0 {
-			h.nodes = append(h.nodes, node{freq: f, sym: i, left: -1, right: -1, order: i})
-			h.idx = append(h.idx, len(h.nodes)-1)
+			m++
 		}
 	}
-	switch len(h.idx) {
+	switch m {
 	case 0:
 		return lengths, 0
 	case 1:
-		lengths[h.nodes[h.idx[0]].sym] = 1
+		lengths[slices.IndexFunc(freqs, func(f int) bool { return f > 0 })] = 1
 		return lengths, 1
 	}
-	heap.Init(h)
-	order := n
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		h.nodes = append(h.nodes, node{
-			freq: h.nodes[a].freq + h.nodes[b].freq,
-			sym:  -1, left: a, right: b, order: order,
-		})
-		order++
-		heap.Push(h, len(h.nodes)-1)
-	}
-	root := h.idx[0]
-	// Iterative depth assignment.
-	type frame struct {
-		node, depth int
-	}
-	stack := []frame{{root, 0}}
-	maxLen := 0
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := h.nodes[fr.node]
-		if nd.sym >= 0 {
-			lengths[nd.sym] = uint8(fr.depth)
-			if fr.depth > maxLen {
-				maxLen = fr.depth
-			}
-			continue
+	// Node i < m is the i-th sorted leaf; node m+k is the k-th merged node.
+	scratch := make([]int, m+2*(2*m-1))
+	leaves, weight, parent := scratch[:0:m], scratch[m:3*m-1], scratch[3*m-1:]
+	for sym, f := range freqs {
+		if f > 0 {
+			leaves = append(leaves, sym)
 		}
-		stack = append(stack, frame{nd.left, fr.depth + 1}, frame{nd.right, fr.depth + 1})
+	}
+	slices.SortFunc(leaves, func(a, b int) int {
+		if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, sym := range leaves {
+		weight[i] = freqs[sym]
+	}
+	nextLeaf, nextMerged := 0, m
+	for k := m; k < 2*m-1; k++ {
+		var pair [2]int
+		for j := range pair {
+			// A leaf wins a weight tie: its order is below every merged
+			// node's. Merged nodes m..k-1 exist so far.
+			if nextLeaf < m && (nextMerged == k || weight[nextLeaf] <= weight[nextMerged]) {
+				pair[j] = nextLeaf
+				nextLeaf++
+			} else {
+				pair[j] = nextMerged
+				nextMerged++
+			}
+		}
+		weight[k] = weight[pair[0]] + weight[pair[1]]
+		parent[pair[0]], parent[pair[1]] = k, k
+	}
+	// Every parent was created after its children, so one backward pass
+	// sees a node's depth before its children's. weight is reused for it.
+	depth := weight
+	depth[2*m-2] = 0
+	for i := 2*m - 3; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
+	}
+	maxLen := 0
+	for i, sym := range leaves {
+		lengths[sym] = uint8(depth[i])
+		maxLen = max(maxLen, depth[i])
 	}
 	return lengths, maxLen
 }
@@ -426,22 +420,53 @@ func WriteLengths(w *bitio.Writer, lengths []uint8) error {
 	for i := 0; i < len(lengths); {
 		l := lengths[i]
 		if l > 15 {
-			return fmt.Errorf("huffman: length %d exceeds serialization limit", l)
+			return errLengthLimit(l)
 		}
 		if l != 0 {
 			w.WriteBits(uint64(l), 4)
 			i++
 			continue
 		}
-		run := 1
-		for i+run < len(lengths) && lengths[i+run] == 0 && run < 256 {
-			run++
-		}
+		run := zeroRun(lengths[i:])
 		w.WriteBits(0, 4)
 		w.WriteBits(uint64(run-1), 8)
 		i += run
 	}
 	return nil
+}
+
+// LengthsBits returns the number of bits WriteLengths writes for lengths,
+// and the error it returns, without writing them.
+func LengthsBits(lengths []uint8) (int, error) {
+	n := 0
+	for i := 0; i < len(lengths); {
+		l := lengths[i]
+		if l > 15 {
+			return 0, errLengthLimit(l)
+		}
+		if l != 0 {
+			n += 4
+			i++
+			continue
+		}
+		n += 4 + 8
+		i += zeroRun(lengths[i:])
+	}
+	return n, nil
+}
+
+// zeroRun is the length of the zero run WriteLengths codes at the start of
+// lengths, whose first entry is zero: at most 256, the 8-bit count's reach.
+func zeroRun(lengths []uint8) int {
+	run := 1
+	for run < len(lengths) && lengths[run] == 0 && run < 256 {
+		run++
+	}
+	return run
+}
+
+func errLengthLimit(l uint8) error {
+	return fmt.Errorf("huffman: length %d exceeds serialization limit", l)
 }
 
 // ReadLengths parses a table of the given alphabet size.

@@ -1,7 +1,9 @@
 package huffman
 
 import (
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -259,4 +261,163 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		}
 	}
+}
+
+// buildOnceHeap is the min-heap construction buildOnce replaced, kept as
+// its oracle: nodes pop in (freq, order) order, where a leaf's order is its
+// symbol and a merged node's continues from len(freqs).
+func buildOnceHeap(freqs []int) ([]uint8, int) {
+	n := len(freqs)
+	lengths := make([]uint8, n)
+	h := &nodeHeap{}
+	for i, f := range freqs {
+		if f > 0 {
+			h.nodes = append(h.nodes, node{freq: f, sym: i, left: -1, right: -1, order: i})
+			h.idx = append(h.idx, len(h.nodes)-1)
+		}
+	}
+	switch len(h.idx) {
+	case 0:
+		return lengths, 0
+	case 1:
+		lengths[h.nodes[h.idx[0]].sym] = 1
+		return lengths, 1
+	}
+	heap.Init(h)
+	order := n
+	for h.Len() > 1 {
+		a := heap.Pop(h).(int)
+		b := heap.Pop(h).(int)
+		h.nodes = append(h.nodes, node{
+			freq: h.nodes[a].freq + h.nodes[b].freq,
+			sym:  -1, left: a, right: b, order: order,
+		})
+		order++
+		heap.Push(h, len(h.nodes)-1)
+	}
+	root := h.idx[0]
+	// Iterative depth assignment.
+	type frame struct {
+		node, depth int
+	}
+	stack := []frame{{root, 0}}
+	maxLen := 0
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := h.nodes[fr.node]
+		if nd.sym >= 0 {
+			lengths[nd.sym] = uint8(fr.depth)
+			if fr.depth > maxLen {
+				maxLen = fr.depth
+			}
+			continue
+		}
+		stack = append(stack, frame{nd.left, fr.depth + 1}, frame{nd.right, fr.depth + 1})
+	}
+	return lengths, maxLen
+}
+
+type node struct {
+	freq        int
+	sym         int // >= 0 for leaves, -1 for internal
+	left, right int // node indices
+	order       int // tie-break for determinism
+}
+
+type nodeHeap struct {
+	nodes []node
+	idx   []int
+}
+
+func (h *nodeHeap) Len() int { return len(h.idx) }
+func (h *nodeHeap) Less(i, j int) bool {
+	a, b := h.nodes[h.idx[i]], h.nodes[h.idx[j]]
+	if a.freq != b.freq {
+		return a.freq < b.freq
+	}
+	return a.order < b.order
+}
+func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
+func (h *nodeHeap) Pop() interface{} {
+	old := h.idx
+	n := len(old)
+	x := old[n-1]
+	h.idx = old[:n-1]
+	return x
+}
+
+// oracleHistogram draws one frequency table of 2-300 symbols from one of
+// the shapes that stress tie-breaking and depth: few distinct values (many
+// ties), a single dominant symbol, geometric and Fibonacci weights (trees
+// deeper than MaxBits), and plain uniform counts. Some entries are zero.
+func oracleHistogram(rng *rand.Rand) []int {
+	n := 2 + rng.Intn(299)
+	freqs := make([]int, n)
+	deep := 16 + rng.Intn(9) // levels past MaxBits, so BuildLengths retries
+	switch rng.Intn(5) {
+	case 0: // many ties
+		vals := 1 + rng.Intn(4)
+		for i := range freqs {
+			freqs[i] = rng.Intn(vals + 1)
+		}
+	case 1: // one dominant symbol over a sparse tail
+		for i := range freqs {
+			freqs[i] = rng.Intn(3)
+		}
+		freqs[rng.Intn(n)] = 1 << (10 + rng.Intn(20))
+	case 2: // geometric, ratio 2 or 3: a tree up to 23 deep
+		w := 1
+		for i := 0; i < min(n, deep); i++ {
+			freqs[i] = w
+			w *= 2 + rng.Intn(2)
+		}
+	case 3: // Fibonacci: as deep, with sums tying leaves
+		a, b := 1, 1
+		for i := 0; i < min(n, deep); i++ {
+			freqs[i] = a
+			a, b = b, a+b
+		}
+	default:
+		for i := range freqs {
+			freqs[i] = rng.Intn(1000)
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { freqs[i], freqs[j] = freqs[j], freqs[i] })
+	return freqs
+}
+
+// TestBuildOnceMatchesHeap: the two-queue merge yields the heap's lengths
+// and depth on every table BuildLengths would build, including each
+// flattened retry of a table deeper than MaxBits.
+func TestBuildOnceMatchesHeap(t *testing.T) {
+	const seed = 20261017
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	tables, retries := 0, 0
+	for i := 0; i < 20000; i++ {
+		work := oracleHistogram(rng)
+		for {
+			got, gotMax := buildOnce(work)
+			want, wantMax := buildOnceHeap(work)
+			tables++
+			if gotMax != wantMax || !slices.Equal(got, want) {
+				t.Fatalf("table %d %v: two-queue lengths %v (max %d), heap %v (max %d)", i, work, got, gotMax, want, wantMax)
+			}
+			if gotMax <= MaxBits {
+				break
+			}
+			retries++
+			for j, f := range work {
+				if f > 0 {
+					work[j] = (f + 1) / 2
+				}
+			}
+		}
+	}
+	if retries == 0 {
+		t.Fatal("no table was deeper than MaxBits; the retry path went unchecked")
+	}
+	t.Logf("%d tables agree, %d of them flattened retries", tables, retries)
 }

@@ -104,6 +104,7 @@ type rle struct{}
 func (rle) Name() string { return "RLE" }
 
 func (rle) Forward(src []byte) ([]byte, error) { return mtf.RLE1(src), nil }
+func (rle) size(src []byte) (int, error)       { return mtf.RLE1Len(src), nil }
 func (rle) Inverse(src []byte, maxOut int) ([]byte, error) {
 	return mtf.UnRLE1Limit(src, maxOut)
 }
@@ -117,14 +118,29 @@ type rze struct{}
 
 func (rze) Name() string { return "RZE" }
 
-func (rze) Forward(src []byte) ([]byte, error) {
+// occupancy is RZE's bitmap of the nonzero words of src, MSB first, and
+// their count.
+func occupancy(src []byte) ([]byte, int) {
 	n := len(src) / 4
 	occupied := make([]byte, (n+7)/8)
+	nonzero := 0
 	for i := 0; i < n; i++ {
 		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
 			occupied[i/8] |= 1 << (7 - i%8)
+			nonzero++
 		}
 	}
+	return occupied, nonzero
+}
+
+func (rze) size(src []byte) (int, error) {
+	occupied, nonzero := occupancy(src)
+	return wordHeaderLen(src) + len(encodeBitmapBody(occupied)) + 4*nonzero + len(src)%4, nil
+}
+
+func (rze) Forward(src []byte) ([]byte, error) {
+	n := len(src) / 4
+	occupied, _ := occupancy(src)
 	out := bitio.PutUvarint(nil, uint64(n))
 	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
 	out = append(out, encodeBitmapBody(occupied)...)
@@ -209,7 +225,9 @@ func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
 	return 0
 }
 
-func (t topCoder) Forward(src []byte) ([]byte, error) {
+// chooseK picks the k that minimizes the pre-bitmap-compression size of
+// src's n words, and returns it with the number of words it flags.
+func (t topCoder) chooseK(src []byte) (k, flagged int) {
 	n := len(src) / 4
 	// Histogram of lead-bit counts -> flagged(k) via suffix sums.
 	var hist [33]int
@@ -219,7 +237,7 @@ func (t topCoder) Forward(src []byte) ([]byte, error) {
 		hist[t.leadBits(w, prev)]++
 		prev = w
 	}
-	bestK, bestCost := 1, int64(1)<<62
+	bestK, bestFlagged, bestCost := 1, 0, int64(1)<<62
 	flaggedAtLeast := 0
 	for k := 32; k >= 1; k-- {
 		flaggedAtLeast += hist[k]
@@ -229,23 +247,50 @@ func (t topCoder) Forward(src []byte) ([]byte, error) {
 		// bits: bitmap n + tops (n-flagged)*k + bottoms n*(32-k)
 		cost := int64(n) + int64(n-flaggedAtLeast)*int64(k) + int64(n)*int64(32-k)
 		if cost < bestCost {
-			bestCost, bestK = cost, k
+			bestCost, bestK, bestFlagged = cost, k, flaggedAtLeast
 		}
 	}
-	k := bestK
+	return bestK, bestFlagged
+}
+
+// flagBitmap marks, MSB first, the words of src whose top k bits are
+// implied (flagged).
+func (t topCoder) flagBitmap(src []byte, k int) []byte {
+	n := len(src) / 4
 	flags := make([]byte, (n+7)/8)
-	prev = 0
-	tops := bitio.NewWriter(n/2 + 8)
-	bottoms := bitio.NewWriter(n*4 + 8)
+	prev := uint32(0)
 	for i := 0; i < n; i++ {
 		w := binary.LittleEndian.Uint32(src[4*i:])
 		if t.leadBits(w, prev) >= k {
 			flags[i/8] |= 1 << (7 - i%8)
-		} else {
+		}
+		prev = w
+	}
+	return flags
+}
+
+// size: the headers, k, the encoded flag bitmap, the tops' length and
+// bytes, the bottoms' bytes, and the tail.
+func (t topCoder) size(src []byte) (int, error) {
+	n := len(src) / 4
+	k, flagged := t.chooseK(src)
+	topBytes := ((n-flagged)*k + 7) / 8
+	bottomBytes := (n*(32-k) + 7) / 8
+	return wordHeaderLen(src) + 1 + len(encodeBitmapBody(t.flagBitmap(src, k))) + uvarintLen(topBytes) + topBytes + bottomBytes + len(src)%4, nil
+}
+
+func (t topCoder) Forward(src []byte) ([]byte, error) {
+	n := len(src) / 4
+	k, _ := t.chooseK(src)
+	flags := t.flagBitmap(src, k)
+	tops := bitio.NewWriter(n/2 + 8)
+	bottoms := bitio.NewWriter(n*4 + 8)
+	for i := 0; i < n; i++ {
+		w := binary.LittleEndian.Uint32(src[4*i:])
+		if flags[i/8]>>(7-i%8)&1 == 0 {
 			tops.WriteBits(uint64(w>>(32-uint(k))), uint(k))
 		}
 		bottoms.WriteBits(uint64(w)&(1<<(32-uint(k))-1), 32-uint(k))
-		prev = w
 	}
 	out := bitio.PutUvarint(nil, uint64(n))
 	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
@@ -360,6 +405,31 @@ func (huf) Forward(src []byte) ([]byte, error) {
 		return out, nil
 	}
 	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
+}
+
+// size: the histogram and the code lengths give the coded body's bit
+// count, and the stored-mode escape applies on the same test as Forward's.
+func (huf) size(src []byte) (int, error) {
+	freqs := make([]int, 256)
+	for _, b := range src {
+		freqs[b]++
+	}
+	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
+	if err != nil {
+		return 0, err
+	}
+	bits, err := huffman.LengthsBits(lengths)
+	if err != nil {
+		return 0, err
+	}
+	for sym, f := range freqs {
+		bits += f * int(lengths[sym])
+	}
+	body := (bits + 7) / 8
+	if body >= len(src) {
+		body = len(src)
+	}
+	return 1 + uvarintLen(len(src)) + body, nil
 }
 
 func (huf) Inverse(src []byte, maxOut int) ([]byte, error) {

@@ -12,6 +12,7 @@ package lc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Component is one invertible pipeline stage.
@@ -26,6 +27,11 @@ type Component interface {
 	// compress.ErrLimitExceeded before materializing more than maxOut
 	// bytes. maxOut <= 0 means unbounded.
 	Inverse(src []byte, maxOut int) ([]byte, error)
+
+	// size returns len(Forward(src)) and Forward's error without building
+	// the output. The search calls it for the last stage, whose bytes it
+	// never reads.
+	size(src []byte) (int, error)
 }
 
 // Components returns the full component library in canonical (ID) order.
@@ -81,6 +87,15 @@ func joinWords(words []uint32, tail []byte) []byte {
 	return out
 }
 
+// uvarintLen is len(bitio.PutUvarint(nil, v)).
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// wordHeaderLen is the size of the word count and tail length that BIT,
+// BYTE, RZE, RARE and RAZE write first.
+func wordHeaderLen(src []byte) int {
+	return uvarintLen(len(src)/4) + uvarintLen(len(src)%4)
+}
+
 // nul is the identity stage; its presence in the library means the 3-stage
 // search space contains every 1- and 2-stage pipeline as well.
 type nul struct{}
@@ -88,3 +103,4 @@ type nul struct{}
 func (nul) Name() string                              { return "NUL" }
 func (nul) Forward(src []byte) ([]byte, error)        { return append([]byte(nil), src...), nil }
 func (nul) Inverse(src []byte, _ int) ([]byte, error) { return append([]byte(nil), src...), nil }
+func (nul) size(src []byte) (int, error)              { return len(src), nil }

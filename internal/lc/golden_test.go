@@ -46,7 +46,13 @@ func goldenStudyInput() (ieee, pos []byte) {
 	if err != nil {
 		panic(err)
 	}
-	floats := spec.Generate(2048)
+	return studyInput(spec, 2048)
+}
+
+// studyInput generates spec at the given number of values in both of the
+// study's encodings.
+func studyInput(spec sdrbench.InputSpec, values int) (ieee, pos []byte) {
+	floats := spec.Generate(values)
 	return posit.EncodeFloat32LE(floats), posit.EncodeWordsLE(posit.Posit32e3.FromFloat32SliceWorkers(nil, floats, 1))
 }
 

@@ -87,6 +87,8 @@ func (p predictor) Forward(src []byte) ([]byte, error) {
 	return out, nil
 }
 
+func (predictor) size(src []byte) (int, error) { return len(src), nil }
+
 // Inverse needs no bound check: the output is exactly as long as src.
 func (p predictor) Inverse(src []byte, _ int) ([]byte, error) {
 	out := make([]byte, len(src))

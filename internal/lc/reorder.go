@@ -46,6 +46,12 @@ func (bitT) Forward(src []byte) ([]byte, error) {
 	return append(out, tail...), nil
 }
 
+// size: the headers, 32 planes of ceil(n/8) bytes each, and the tail.
+func (bitT) size(src []byte) (int, error) {
+	n := len(src) / 4
+	return wordHeaderLen(src) + 32*((n+7)/8) + len(src)%4, nil
+}
+
 func (bitT) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)
 	if err != nil {
@@ -98,6 +104,8 @@ func (byteT) Forward(src []byte) ([]byte, error) {
 	}
 	return append(out, tail...), nil
 }
+
+func (byteT) size(src []byte) (int, error) { return wordHeaderLen(src) + len(src), nil }
 
 func (byteT) Inverse(src []byte, maxOut int) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)

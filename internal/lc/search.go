@@ -1,9 +1,11 @@
 package lc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"positbench/internal/pool"
 )
@@ -49,7 +51,8 @@ func SearchAll(data []byte, workers int) ([]Result, error) {
 	return results, nil
 }
 
-// searchFrom evaluates every pipeline whose first stage is s1.
+// searchFrom evaluates every pipeline whose first stage is s1. The last
+// stage only reports its output's size: nothing reads its bytes.
 func searchFrom(s1 Component, lib []Component, data []byte) ([]Result, error) {
 	t1, err := s1.Forward(data)
 	if err != nil {
@@ -62,11 +65,11 @@ func searchFrom(s1 Component, lib []Component, data []byte) ([]Result, error) {
 			return nil, fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
 		}
 		for _, s3 := range lib {
-			t3, err := s3.Forward(t2)
+			n3, err := s3.size(t2)
 			if err != nil {
 				return nil, fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
 			}
-			size := len(t3) + headerBytes
+			size := n3 + headerBytes
 			local = append(local, Result{
 				Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
 				Size:  size,
@@ -77,13 +80,26 @@ func searchFrom(s1 Component, lib []Component, data []byte) ([]Result, error) {
 	return local, nil
 }
 
+// sortResults orders rs by size, then by pipeline string. Each key is
+// built once, not once per comparison.
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Size != rs[j].Size {
-			return rs[i].Size < rs[j].Size
+	type keyed struct {
+		key string
+		r   Result
+	}
+	ks := make([]keyed, len(rs))
+	for i, r := range rs {
+		ks[i] = keyed{pipeKey(r.Names), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.r.Size, b.r.Size); c != 0 {
+			return c
 		}
-		return pipeKey(rs[i].Names) < pipeKey(rs[j].Names)
+		return strings.Compare(a.key, b.key)
 	})
+	for i, k := range ks {
+		rs[i] = k.r
+	}
 }
 
 func pipeKey(names [PipelineDepth]string) string {

@@ -47,22 +47,42 @@ func Decode(src []byte) []byte {
 // the damage pathological runs do to the rotation sort.
 func RLE1(src []byte) []byte {
 	out := make([]byte, 0, len(src)+len(src)/4+16)
-	i := 0
-	for i < len(src) {
+	for i := 0; i < len(src); {
 		b := src[i]
-		run := 1
-		for i+run < len(src) && src[i+run] == b && run < 259 {
-			run++
-		}
+		run := rle1Run(src[i:])
 		if run >= 4 {
 			out = append(out, b, b, b, b, byte(run-4))
-			i += run
 		} else {
 			out = append(out, src[i:i+run]...)
-			i += run
 		}
+		i += run
 	}
 	return out
+}
+
+// RLE1Len returns len(RLE1(src)) without building the output.
+func RLE1Len(src []byte) int {
+	n := 0
+	for i := 0; i < len(src); {
+		run := rle1Run(src[i:])
+		if run >= 4 {
+			n += 5
+		} else {
+			n += run
+		}
+		i += run
+	}
+	return n
+}
+
+// rle1Run is the length of the run RLE1 codes at the start of the
+// nonempty src: repeats of src[0], at most 259.
+func rle1Run(src []byte) int {
+	run := 1
+	for run < len(src) && src[run] == src[0] && run < 259 {
+		run++
+	}
+	return run
 }
 
 // UnRLE1 inverts RLE1 with no output bound; use UnRLE1Limit on untrusted

@@ -58,6 +58,9 @@ func TestRLE1Roundtrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		enc := RLE1(c)
+		if n := RLE1Len(c); n != len(enc) {
+			t.Fatalf("case len %d: RLE1Len %d, RLE1 wrote %d", len(c), n, len(enc))
+		}
 		back, err := UnRLE1(enc)
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
@@ -91,6 +94,9 @@ func TestRLE1RunHeavy(t *testing.T) {
 	enc := RLE1(s)
 	if len(enc) >= len(s) {
 		t.Fatalf("RLE1 did not shrink run-heavy data: %d -> %d", len(s), len(enc))
+	}
+	if n := RLE1Len(s); n != len(enc) {
+		t.Fatalf("RLE1Len %d, RLE1 wrote %d", n, len(enc))
 	}
 	back, err := UnRLE1(enc)
 	if err != nil || !bytes.Equal(back, s) {
