@@ -205,18 +205,23 @@ func Run(opts Options) (*Study, error) {
 	return st, nil
 }
 
-// runLC performs the pipeline search per encoding and appends "lc"
-// measurements using each encoding's global-best pipeline.
+// runLC searches every input in both encodings in one call, then appends
+// "lc" measurements using each encoding's global-best pipeline.
 func (st *Study) runLC() error {
-	for _, enc := range []Encoding{EncIEEE, EncPosit} {
-		data := make([][]byte, len(st.Inputs))
-		for i, in := range st.Inputs {
-			data[i] = in.Bytes(enc)
+	encs := []Encoding{EncIEEE, EncPosit}
+	all := make([][]byte, 0, len(encs)*len(st.Inputs))
+	for _, enc := range encs {
+		for _, in := range st.Inputs {
+			all = append(all, in.Bytes(enc))
 		}
-		perInput, err := lc.SearchAllMulti(data, st.Opts.Workers)
-		if err != nil {
-			return fmt.Errorf("lc search (%s): %w", enc, err)
-		}
+	}
+	searched, err := lc.SearchAllMulti(all, st.Opts.Workers)
+	if err != nil {
+		return fmt.Errorf("lc search: %w", err)
+	}
+	for e, enc := range encs {
+		data := all[e*len(st.Inputs) : (e+1)*len(st.Inputs)]
+		perInput := searched[e*len(st.Inputs) : (e+1)*len(st.Inputs)]
 		pipe, results, err := lc.SelectGlobal(perInput)
 		if err != nil {
 			return fmt.Errorf("lc selection (%s): %w", enc, err)

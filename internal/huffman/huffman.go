@@ -4,8 +4,8 @@
 package huffman
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -16,9 +16,17 @@ import (
 // MaxBits is the default code-length limit.
 const MaxBits = 15
 
+// stackAlphabet is the largest alphabet whose construction scratch
+// BuildLengths keeps on the stack: bzip2's 258 symbols (RUNA, RUNB, 255
+// MTF values and EOB), which also covers every byte alphabet.
+const stackAlphabet = 258
+
 // BuildLengths computes near-optimal code lengths (<= maxBits) for the given
 // symbol frequencies. Symbols with zero frequency get length 0 (no code).
-// If only one symbol has nonzero frequency it is assigned length 1.
+// If only one symbol has nonzero frequency it is assigned length 1. A
+// frequency too large to sort beside its symbol's index in 63 bits is an
+// error: for 256 symbols, one of 2^55 or more. For alphabets of up to 258
+// symbols the returned lengths are the only allocation.
 func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 	if maxBits < 1 || maxBits > 30 {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
@@ -30,27 +38,60 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 	if n > 1<<maxBits {
 		return nil, fmt.Errorf("huffman: alphabet size %d exceeds 2^%d", n, maxBits)
 	}
-	work := make([]int, n)
-	copy(work, freqs)
+	var keyBuf, mergedBuf [stackAlphabet]uint64
+	var parentBuf [2 * stackAlphabet]int32
+	keys, merged, parent := keyBuf[:], mergedBuf[:], parentBuf[:]
+	if n > stackAlphabet {
+		keys, merged, parent = make([]uint64, n), make([]uint64, n), make([]int32, 2*n)
+	}
+	keys, shift, err := packKeys(freqs, keys)
+	if err != nil {
+		return nil, err
+	}
+	lengths := make([]uint8, n)
 	for {
-		lengths, maxLen := buildOnce(work)
-		if maxLen <= maxBits {
+		if buildTree(keys, shift, lengths, merged, parent) <= maxBits {
 			return lengths, nil
 		}
 		// Flatten the distribution and retry; this converges because all
 		// frequencies eventually reach 1, which yields a balanced tree of
-		// depth ceil(log2(n)) <= maxBits.
-		for i, f := range work {
-			if f > 0 {
-				work[i] = (f + 1) / 2
-			}
+		// depth ceil(log2(n)) <= maxBits. Halving keeps every frequency
+		// nonzero and its symbol in place; buildTree re-sorts the keys.
+		for i, k := range keys {
+			keys[i] = (k>>shift+1)/2<<shift | k&(1<<shift-1)
 		}
 	}
 }
 
-// buildOnce builds an unlimited Huffman tree over the nonzero frequencies
-// and returns each symbol's depth (truncated to uint8; callers retry when
-// maxLen exceeds their limit) and the deepest one.
+// maxFreq is the largest frequency BuildLengths accepts for an alphabet of
+// n symbols: it packs each frequency above its symbol's index into one
+// uint64 sort key, and keeps every key and every sum of n frequencies
+// below 2^63.
+func maxFreq(n int) int { return 1<<(63-symbolBits(n)) - 1 }
+
+// symbolBits is the width of a symbol index in an alphabet of n symbols.
+func symbolBits(n int) uint { return uint(bits.Len(uint(max(n, 1) - 1))) }
+
+// packKeys writes the key freq<<shift | symbol of every nonzero frequency
+// into keys[:0], in symbol order, and returns them with shift.
+func packKeys(freqs []int, keys []uint64) ([]uint64, uint, error) {
+	shift, limit := symbolBits(len(freqs)), maxFreq(len(freqs))
+	keys = keys[:0]
+	for sym, f := range freqs {
+		if f > limit {
+			return nil, 0, fmt.Errorf("huffman: frequency %d of symbol %d exceeds %d", f, sym, limit)
+		}
+		if f > 0 {
+			keys = append(keys, uint64(f)<<shift|uint64(sym))
+		}
+	}
+	return keys, shift, nil
+}
+
+// buildTree sorts keys (see packKeys) and builds an unlimited Huffman tree
+// over them. It writes each symbol's depth to lengths (truncated to uint8;
+// callers retry when the result exceeds their limit) and returns the
+// deepest one. merged needs len(keys) entries and parent 2*len(keys).
 //
 // It is van Leeuwen's two-queue construction (1976): leaves sorted by
 // (freq, symbol) in one queue, merged nodes in creation order in the other.
@@ -59,68 +100,52 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 // order is its symbol and the k-th merged node's is len(freqs)+k; that is
 // a strict total order, so each step pops the same node a min-heap on it
 // would, and the tree (hence every length) is the heap's.
-func buildOnce(freqs []int) ([]uint8, int) {
-	lengths := make([]uint8, len(freqs))
-	m := 0
-	for _, f := range freqs {
-		if f > 0 {
-			m++
-		}
-	}
+func buildTree(keys []uint64, shift uint, lengths []uint8, merged []uint64, parent []int32) int {
+	m := len(keys)
+	mask := uint64(1)<<shift - 1
 	switch m {
 	case 0:
-		return lengths, 0
+		return 0
 	case 1:
-		lengths[slices.IndexFunc(freqs, func(f int) bool { return f > 0 })] = 1
-		return lengths, 1
+		lengths[keys[0]&mask] = 1
+		return 1
 	}
-	// Node i < m is the i-th sorted leaf; node m+k is the k-th merged node.
-	scratch := make([]int, m+2*(2*m-1))
-	leaves, weight, parent := scratch[:0:m], scratch[m:3*m-1], scratch[3*m-1:]
-	for sym, f := range freqs {
-		if f > 0 {
-			leaves = append(leaves, sym)
-		}
-	}
-	slices.SortFunc(leaves, func(a, b int) int {
-		if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for i, sym := range leaves {
-		weight[i] = freqs[sym]
-	}
-	nextLeaf, nextMerged := 0, m
-	for k := m; k < 2*m-1; k++ {
-		var pair [2]int
-		for j := range pair {
+	// Packed keys sort by frequency, then symbol: the leaf order.
+	slices.Sort(keys)
+	// Node i < m is the i-th sorted leaf; node m+k is the k-th merged node,
+	// whose weight is merged[k].
+	nextLeaf, nextMerged := 0, 0
+	for k := 0; k < m-1; k++ {
+		var w uint64
+		for range 2 {
 			// A leaf wins a weight tie: its order is below every merged
-			// node's. Merged nodes m..k-1 exist so far.
-			if nextLeaf < m && (nextMerged == k || weight[nextLeaf] <= weight[nextMerged]) {
-				pair[j] = nextLeaf
+			// node's. Merged nodes 0..k-1 exist so far.
+			var child int
+			if nextLeaf < m && (nextMerged == k || keys[nextLeaf]>>shift <= merged[nextMerged]) {
+				child, w = nextLeaf, w+keys[nextLeaf]>>shift
 				nextLeaf++
 			} else {
-				pair[j] = nextMerged
+				child, w = m+nextMerged, w+merged[nextMerged]
 				nextMerged++
 			}
+			parent[child] = int32(m + k)
 		}
-		weight[k] = weight[pair[0]] + weight[pair[1]]
-		parent[pair[0]], parent[pair[1]] = k, k
+		merged[k] = w
 	}
 	// Every parent was created after its children, so one backward pass
-	// sees a node's depth before its children's. weight is reused for it.
-	depth := weight
+	// sees a node's depth before its children's, and can overwrite each
+	// parent index with the node's depth.
+	depth := parent
 	depth[2*m-2] = 0
 	for i := 2*m - 3; i >= 0; i-- {
 		depth[i] = depth[parent[i]] + 1
 	}
-	maxLen := 0
-	for i, sym := range leaves {
-		lengths[sym] = uint8(depth[i])
+	maxLen := int32(0)
+	for i, key := range keys {
+		lengths[key&mask] = uint8(depth[i])
 		maxLen = max(maxLen, depth[i])
 	}
-	return lengths, maxLen
+	return int(maxLen)
 }
 
 // canonicalCodes assigns canonical codes (shorter codes first, ties by

@@ -196,6 +196,64 @@ func TestErrors(t *testing.T) {
 	if _, err := ReadLengths(bitio.NewReader(w.Bytes()), 3); err == nil {
 		t.Fatal("zero-run overflow accepted")
 	}
+	// A frequency too large to pack beside its symbol index is refused,
+	// not mis-sorted; the largest one that fits is built.
+	if _, err := BuildLengths([]int{1, maxFreq(2) + 1}, MaxBits); err == nil {
+		t.Fatal("frequency above the packed-key limit accepted")
+	}
+	wide := make([]int, 256)
+	wide[0], wide[255] = 1, maxFreq(256)+1
+	if _, err := BuildLengths(wide, MaxBits); err == nil {
+		t.Fatal("frequency above the 256-symbol packed-key limit accepted")
+	}
+	wide[255] = maxFreq(256)
+	if lengths, err := BuildLengths(wide, MaxBits); err != nil || lengths[0] != 1 || lengths[255] != 1 {
+		t.Fatalf("frequency at the packed-key limit: lengths %v, error %v", lengths, err)
+	}
+}
+
+// TestBuildLengthsMatchesHeap: BuildLengths, which flattens its packed
+// keys in place between passes, returns the heap's lengths after the same
+// flattening of the frequencies.
+func TestBuildLengthsMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	for i := 0; i < 2000; i++ {
+		freqs := oracleHistogram(rng)
+		got, err := BuildLengths(freqs, MaxBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := slices.Clone(freqs)
+		want, wantMax := buildOnceHeap(work)
+		for wantMax > MaxBits {
+			for j, f := range work {
+				if f > 0 {
+					work[j] = (f + 1) / 2
+				}
+			}
+			want, wantMax = buildOnceHeap(work)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("table %d %v: BuildLengths %v, heap %v", i, freqs, got, want)
+		}
+	}
+}
+
+// TestBuildLengthsAllocs: on a 256-symbol table deep enough to take
+// flattening retries, BuildLengths allocates only the lengths it returns.
+func TestBuildLengthsAllocs(t *testing.T) {
+	freqs := make([]int, 256)
+	for i := range freqs {
+		freqs[i] = 1 << min(i, 40)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := BuildLengths(freqs, MaxBits); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("BuildLengths on 256 symbols allocates %v times per call, want 1", n)
+	}
 }
 
 func TestOptimality(t *testing.T) {
@@ -261,6 +319,18 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		}
 	}
+}
+
+// buildOnce is one pass of BuildLengths with no length limit: the lengths
+// of the unlimited Huffman tree over freqs, and its depth.
+func buildOnce(freqs []int) ([]uint8, int) {
+	n := len(freqs)
+	keys, shift, err := packKeys(freqs, make([]uint64, n))
+	if err != nil {
+		panic(err)
+	}
+	lengths := make([]uint8, n)
+	return lengths, buildTree(keys, shift, lengths, make([]uint64, n), make([]int32, 2*n))
 }
 
 // buildOnceHeap is the min-heap construction buildOnce replaced, kept as
@@ -351,12 +421,14 @@ func (h *nodeHeap) Pop() interface{} {
 // oracleHistogram draws one frequency table of 2-300 symbols from one of
 // the shapes that stress tie-breaking and depth: few distinct values (many
 // ties), a single dominant symbol, geometric and Fibonacci weights (trees
-// deeper than MaxBits), and plain uniform counts. Some entries are zero.
+// deeper than MaxBits), plain uniform counts, and 256 symbols within a
+// factor of two of the packed-key limit, where the frequency fills every
+// key bit above the symbol's. Some entries are zero.
 func oracleHistogram(rng *rand.Rand) []int {
 	n := 2 + rng.Intn(299)
 	freqs := make([]int, n)
 	deep := 16 + rng.Intn(9) // levels past MaxBits, so BuildLengths retries
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0: // many ties
 		vals := 1 + rng.Intn(4)
 		for i := range freqs {
@@ -378,6 +450,18 @@ func oracleHistogram(rng *rand.Rand) []int {
 		for i := 0; i < min(n, deep); i++ {
 			freqs[i] = a
 			a, b = b, a+b
+		}
+	case 4:
+		n, freqs = 256, make([]int, 256)
+		limit := maxFreq(n)
+		for i := range freqs {
+			switch rng.Intn(4) {
+			case 0: // zero
+			case 1: // ties at the very top, broken by the symbol bits
+				freqs[i] = limit - rng.Intn(3)
+			default:
+				freqs[i] = limit - int(rng.Int63n(int64(limit/2)))
+			}
 		}
 	default:
 		for i := range freqs {

@@ -42,21 +42,58 @@ func encodeBitmapBody(b []byte) []byte {
 		return append([]byte{0}, b...)
 	}
 	sub := make([]byte, (len(b)+7)/8)
-	var nz []byte
-	for i, v := range b {
-		if v != 0 {
-			sub[i/8] |= 1 << (7 - i%8)
-			nz = append(nz, v)
-		}
-	}
+	nonzero := packNonzero(sub, b)
 	inner := encodeBitmapBody(sub)
-	if 1+len(inner)+len(nz) < 1+len(b) {
-		out := make([]byte, 0, 1+len(inner)+len(nz))
+	if len(inner)+nonzero < len(b) {
+		out := make([]byte, 0, 1+len(inner)+nonzero)
 		out = append(out, 1)
 		out = append(out, inner...)
-		return append(out, nz...)
+		for _, v := range b {
+			if v != 0 {
+				out = append(out, v)
+			}
+		}
+		return out
 	}
 	return append([]byte{0}, b...)
+}
+
+// bitmapBodyLen is len(encodeBitmapBody(b)), counted without building it.
+// It overwrites b with scratch.
+func bitmapBodyLen(b []byte) int {
+	if len(b) < 16 {
+		return 1 + len(b)
+	}
+	sub := b[:(len(b)+7)/8]
+	nonzero := packNonzero(sub, b)
+	return 1 + min(bitmapBodyLen(sub)+nonzero, len(b))
+}
+
+// packNonzero writes the occupancy bitmap of b, one bit per byte set when
+// the byte is nonzero, MSB first, to dst[:(len(b)+7)/8], and returns the
+// number of nonzero bytes. dst may be b itself: it writes dst[j] only after
+// reading b[8j:8j+8].
+func packNonzero(dst, b []byte) int {
+	nonzero := 0
+	for j := range (len(b) + 7) / 8 {
+		var g [8]byte // zero-padded past the end of b
+		copy(g[:], b[8*j:])
+		var bits8 byte
+		for _, v := range g {
+			bits8 = bits8<<1 | b2u8(v != 0)
+		}
+		dst[j] = bits8
+		nonzero += bits.OnesCount8(bits8)
+	}
+	return nonzero
+}
+
+// b2u8 is 1 for true and 0 for false.
+func b2u8(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // decodeBitmapBody reconstructs n bytes, returning them and the number of
@@ -118,29 +155,42 @@ type rze struct{}
 
 func (rze) Name() string { return "RZE" }
 
+// sizeWords is the largest word count whose per-word scratch RZE's, RARE's
+// and RAZE's size keep on the stack; longer inputs take it from the heap.
+const sizeWords = 4096
+
 // occupancy is RZE's bitmap of the nonzero words of src, MSB first, and
-// their count.
-func occupancy(src []byte) ([]byte, int) {
+// their count. The bitmap reuses buf when it is long enough.
+func occupancy(src, buf []byte) ([]byte, int) {
 	n := len(src) / 4
-	occupied := make([]byte, (n+7)/8)
+	occupied := buf
+	if len(occupied) < (n+7)/8 {
+		occupied = make([]byte, (n+7)/8)
+	}
+	occupied = occupied[:(n+7)/8]
 	nonzero := 0
-	for i := 0; i < n; i++ {
-		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
-			occupied[i/8] |= 1 << (7 - i%8)
-			nonzero++
+	for j := range occupied {
+		var g [32]byte // eight words, zero-padded past the last
+		copy(g[:], src[32*j:4*n])
+		var bits8 byte
+		for i := range 8 {
+			bits8 = bits8<<1 | b2u8(binary.LittleEndian.Uint32(g[4*i:]) != 0)
 		}
+		occupied[j] = bits8
+		nonzero += bits.OnesCount8(bits8)
 	}
 	return occupied, nonzero
 }
 
 func (rze) size(src []byte) (int, error) {
-	occupied, nonzero := occupancy(src)
-	return wordHeaderLen(src) + len(encodeBitmapBody(occupied)) + 4*nonzero + len(src)%4, nil
+	var buf [sizeWords / 8]byte
+	occupied, nonzero := occupancy(src, buf[:])
+	return wordHeaderLen(src) + bitmapBodyLen(occupied) + 4*nonzero + len(src)%4, nil
 }
 
 func (rze) Forward(src []byte) ([]byte, error) {
 	n := len(src) / 4
-	occupied, _ := occupancy(src)
+	occupied, _ := occupancy(src, nil)
 	out := bitio.PutUvarint(nil, uint64(n))
 	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
 	out = append(out, encodeBitmapBody(occupied)...)
@@ -208,15 +258,6 @@ type topCoder struct {
 
 func (t topCoder) Name() string { return t.name }
 
-// leadBits is the leading-bit count that makes w flaggable at a given k:
-// the bits equal to prev's for RARE, the zero bits for RAZE.
-func (t topCoder) leadBits(w, prev uint32) int {
-	if t.repeat {
-		w ^= prev
-	}
-	return bits.LeadingZeros32(w)
-}
-
 // flaggedTop reconstructs the implied top k bits of a flagged word.
 func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
 	if t.repeat {
@@ -225,18 +266,53 @@ func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
 	return 0
 }
 
-// chooseK picks the k that minimizes the pre-bitmap-compression size of
-// src's n words, and returns it with the number of words it flags.
-func (t topCoder) chooseK(src []byte) (k, flagged int) {
+// scan reads src's n words once. Each word's lead-bit count, the leading
+// bits of the word that equal the previous word's for RARE or are zero for
+// RAZE, feeds a histogram that chooses k; the words with at least k lead
+// bits are flagged. It returns k, the number of flagged words and their
+// bitmap, MSB first, which reuses buf when it has a byte per word.
+// Forward and size share it.
+func (t topCoder) scan(src, buf []byte) (k, flagged int, flags []byte) {
 	n := len(src) / 4
-	// Histogram of lead-bit counts -> flagged(k) via suffix sums.
+	var same uint32 // the bits of the previous word a word is compared with
+	if t.repeat {
+		same = ^uint32(0)
+	}
+	lead := buf
+	if len(lead) < n {
+		lead = make([]byte, n)
+	}
+	lead = lead[:n]
 	var hist [33]int
 	prev := uint32(0)
-	for i := 0; i < n; i++ {
+	for i := range lead {
 		w := binary.LittleEndian.Uint32(src[4*i:])
-		hist[t.leadBits(w, prev)]++
+		l := bits.LeadingZeros32(w ^ prev&same)
+		lead[i] = byte(l)
+		hist[l]++
 		prev = w
 	}
+	k, flagged = chooseK(&hist, n)
+	// The flags overwrite lead: byte j is written after lead[8j:8j+8] is
+	// read.
+	flags = lead[:(n+7)/8]
+	for j := range flags {
+		var g [8]byte // zero-padded, so unflagged, past the last word
+		copy(g[:], lead[8*j:])
+		var bits8 byte
+		for _, l := range g {
+			bits8 = bits8<<1 | b2u8(int(l) >= k)
+		}
+		flags[j] = bits8
+	}
+	return k, flagged, flags
+}
+
+// chooseK picks the k that minimizes the pre-bitmap-compression size of n
+// words whose lead-bit counts hist holds, and returns it with the number of
+// words it flags.
+func chooseK(hist *[33]int, n int) (k, flagged int) {
+	// flagged(k) is a suffix sum of the histogram.
 	bestK, bestFlagged, bestCost := 1, 0, int64(1)<<62
 	flaggedAtLeast := 0
 	for k := 32; k >= 1; k-- {
@@ -253,36 +329,20 @@ func (t topCoder) chooseK(src []byte) (k, flagged int) {
 	return bestK, bestFlagged
 }
 
-// flagBitmap marks, MSB first, the words of src whose top k bits are
-// implied (flagged).
-func (t topCoder) flagBitmap(src []byte, k int) []byte {
-	n := len(src) / 4
-	flags := make([]byte, (n+7)/8)
-	prev := uint32(0)
-	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(src[4*i:])
-		if t.leadBits(w, prev) >= k {
-			flags[i/8] |= 1 << (7 - i%8)
-		}
-		prev = w
-	}
-	return flags
-}
-
 // size: the headers, k, the encoded flag bitmap, the tops' length and
 // bytes, the bottoms' bytes, and the tail.
 func (t topCoder) size(src []byte) (int, error) {
 	n := len(src) / 4
-	k, flagged := t.chooseK(src)
+	var buf [sizeWords]byte
+	k, flagged, flags := t.scan(src, buf[:])
 	topBytes := ((n-flagged)*k + 7) / 8
 	bottomBytes := (n*(32-k) + 7) / 8
-	return wordHeaderLen(src) + 1 + len(encodeBitmapBody(t.flagBitmap(src, k))) + uvarintLen(topBytes) + topBytes + bottomBytes + len(src)%4, nil
+	return wordHeaderLen(src) + 1 + bitmapBodyLen(flags) + uvarintLen(topBytes) + topBytes + bottomBytes + len(src)%4, nil
 }
 
 func (t topCoder) Forward(src []byte) ([]byte, error) {
 	n := len(src) / 4
-	k, _ := t.chooseK(src)
-	flags := t.flagBitmap(src, k)
+	k, _, flags := t.scan(src, nil)
 	tops := bitio.NewWriter(n/2 + 8)
 	bottoms := bitio.NewWriter(n*4 + 8)
 	for i := 0; i < n; i++ {
@@ -379,12 +439,30 @@ type huf struct{}
 
 func (huf) Name() string { return "HUF" }
 
-func (huf) Forward(src []byte) ([]byte, error) {
-	freqs := make([]int, 256)
-	for _, b := range src {
-		freqs[b]++
+// byteCounts is src's byte histogram. Four interleaved tables keep a run
+// of one byte value from serializing on a single counter.
+func byteCounts(src []byte) [256]int {
+	var counts [4][256]int
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		counts[0][src[i]]++
+		counts[1][src[i+1]]++
+		counts[2][src[i+2]]++
+		counts[3][src[i+3]]++
 	}
-	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
+	for ; i < len(src); i++ {
+		counts[0][src[i]]++
+	}
+	var freqs [256]int
+	for b := range freqs {
+		freqs[b] = counts[0][b] + counts[1][b] + counts[2][b] + counts[3][b]
+	}
+	return freqs
+}
+
+func (huf) Forward(src []byte) ([]byte, error) {
+	freqs := byteCounts(src)
+	lengths, err := huffman.BuildLengths(freqs[:], huffman.MaxBits)
 	if err != nil {
 		return nil, err
 	}
@@ -410,11 +488,8 @@ func (huf) Forward(src []byte) ([]byte, error) {
 // size: the histogram and the code lengths give the coded body's bit
 // count, and the stored-mode escape applies on the same test as Forward's.
 func (huf) size(src []byte) (int, error) {
-	freqs := make([]int, 256)
-	for _, b := range src {
-		freqs[b]++
-	}
-	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
+	freqs := byteCounts(src)
+	lengths, err := huffman.BuildLengths(freqs[:], huffman.MaxBits)
 	if err != nil {
 		return 0, err
 	}

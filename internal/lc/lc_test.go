@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"positbench/internal/compress/codectest"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -222,7 +224,10 @@ func TestSearchAllFindsCompressor(t *testing.T) {
 }
 
 // TestSearchDeterminism repeats the search and varies its worker count:
-// every run must return the same results in the same order.
+// every run must return the same results in the same order. SearchAllMulti
+// runs one pool over every (input, first stage) item of several study
+// inputs, and each input's rows must equal a serial SearchAll of that
+// input alone, so no row depends on which item or input ran where.
 func TestSearchDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -242,6 +247,51 @@ func TestSearchDeterminism(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("workers %d: nondeterministic search at %d: %+v vs %+v", workers, i, a[i], b[i])
+			}
+		}
+	}
+
+	names, inputs := studyInputs(2048)
+	names, inputs = names[:6], inputs[:6]
+	serial := make([][]Result, len(inputs))
+	for i, in := range inputs {
+		if serial[i], err = SearchAll(in, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{0, 1, 4} {
+		multi, err := SearchAllMulti(inputs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(multi) != len(inputs) {
+			t.Fatalf("workers %d: %d result sets for %d inputs", workers, len(multi), len(inputs))
+		}
+		for i := range inputs {
+			if !slices.Equal(multi[i], serial[i]) {
+				t.Fatalf("workers %d: SearchAllMulti's rows for %s differ from SearchAll's", workers, names[i])
+			}
+		}
+	}
+}
+
+// TestComparePipes: comparePipes orders pipelines as their pipeline
+// strings compare, over names that are prefixes of one another.
+func TestComparePipes(t *testing.T) {
+	stages := []string{"DIFF", "DIFF4", "DIFFMS", "NUL", "RZE", "XOR", "XOR4"}
+	var pipes [][PipelineDepth]string
+	for _, a := range stages {
+		for _, b := range stages {
+			for _, c := range stages {
+				pipes = append(pipes, [PipelineDepth]string{a, b, c})
+			}
+		}
+	}
+	for i := range pipes {
+		for j := range pipes {
+			want := strings.Compare(strings.Join(pipes[i][:], "|"), strings.Join(pipes[j][:], "|"))
+			if got := comparePipes(&pipes[i], &pipes[j]); got != want {
+				t.Fatalf("comparePipes(%v, %v) = %d, string order %d", pipes[i], pipes[j], got, want)
 			}
 		}
 	}
@@ -340,12 +390,21 @@ func positLike(n int) []byte {
 	return out
 }
 
+// BenchmarkSearchAll is one search pass over the study's traffic: every
+// study input at 2048 values in both encodings, in one SearchAllMulti call
+// as core.Run makes it. With -cpu 1,2 it times the work perfbench's
+// lc.search_s reports.
 func BenchmarkSearchAll(b *testing.B) {
-	src := floatField(1 << 12)
-	b.SetBytes(int64(len(src)))
+	_, inputs := studyInputs(2048)
+	var n int64
+	for _, in := range inputs {
+		n += int64(len(in))
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAll(src, 0); err != nil {
+		if _, err := SearchAllMulti(inputs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"positbench/internal/pool"
 )
@@ -30,93 +31,112 @@ const headerBytes = 1 + PipelineDepth
 // data, on at most workers workers (<= 0 means GOMAXPROCS), and returns
 // results sorted best (largest ratio) first. Ties break lexicographically
 // on the pipeline string, so output does not depend on the worker count.
+// It is SearchAllMulti on one input.
 func SearchAll(data []byte, workers int) ([]Result, error) {
-	lib := Components()
-	nl := len(lib)
-	// One pool item per first stage: it runs the first stage once and
-	// every continuation of it, so a first-stage output is never recomputed.
-	perFirst := make([][]Result, nl)
-	errs := make([]error, nl)
-	pool.Run(workers, nl, func(i int) {
-		perFirst[i], errs[i] = searchFrom(lib[i], lib, data)
-	})
-	results := make([]Result, 0, nl*nl*nl)
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, perFirst[i]...)
+	perInput, err := SearchAllMulti([][]byte{data}, workers)
+	if err != nil {
+		return nil, err
 	}
-	sortResults(results)
-	return results, nil
+	return perInput[0], nil
 }
 
-// searchFrom evaluates every pipeline whose first stage is s1. The last
-// stage only reports its output's size: nothing reads its bytes.
-func searchFrom(s1 Component, lib []Component, data []byte) ([]Result, error) {
+// searchFrom evaluates every pipeline whose first stage is s1 into dst,
+// one row per (second, last) stage pair in library order. The last stage
+// only reports its output's size: nothing reads its bytes.
+func searchFrom(dst []Result, s1 Component, lib []Component, data []byte) error {
 	t1, err := s1.Forward(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s1.Name(), err)
+		return fmt.Errorf("%s: %w", s1.Name(), err)
 	}
-	local := make([]Result, 0, len(lib)*len(lib))
-	for _, s2 := range lib {
+	for j, s2 := range lib {
 		t2, err := s2.Forward(t1)
 		if err != nil {
-			return nil, fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
+			return fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
 		}
-		for _, s3 := range lib {
+		for k, s3 := range lib {
 			n3, err := s3.size(t2)
 			if err != nil {
-				return nil, fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
+				return fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
 			}
 			size := n3 + headerBytes
-			local = append(local, Result{
+			dst[j*len(lib)+k] = Result{
 				Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
 				Size:  size,
 				Ratio: float64(len(data)) / float64(size),
-			})
+			}
 		}
 	}
-	return local, nil
+	return nil
 }
 
-// sortResults orders rs by size, then by pipeline string. Each key is
-// built once, not once per comparison.
+// sortResults orders rs by size, then by pipeline string.
 func sortResults(rs []Result) {
-	type keyed struct {
-		key string
-		r   Result
-	}
-	ks := make([]keyed, len(rs))
-	for i, r := range rs {
-		ks[i] = keyed{pipeKey(r.Names), r}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Compare(a.r.Size, b.r.Size); c != 0 {
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(a.Size, b.Size); c != 0 {
 			return c
 		}
-		return strings.Compare(a.key, b.key)
+		return comparePipes(&a.Names, &b.Names)
 	})
-	for i, k := range ks {
-		rs[i] = k.r
+}
+
+// comparePipes compares the pipeline strings of a and b ("DIFFMS|RARE|RAZE",
+// as Pipeline.String renders them) without building either. At the first
+// stage where the names differ, either their common prefix decides, or one
+// name is a prefix of the other; then the shorter name's pipeline string
+// continues with '|' (which no name contains) or, at the last stage, ends.
+func comparePipes(a, b *[PipelineDepth]string) int {
+	for i := range a {
+		x, y := a[i], b[i]
+		if x == y {
+			continue
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		switch {
+		case i == PipelineDepth-1:
+			return cmp.Compare(len(x), len(y))
+		case len(x) < len(y):
+			return cmp.Compare('|', y[n])
+		default:
+			return cmp.Compare(x[n], '|')
+		}
 	}
+	return 0
 }
 
-func pipeKey(names [PipelineDepth]string) string {
-	return names[0] + "|" + names[1] + "|" + names[2]
-}
-
-// SearchAllMulti runs SearchAll on every input with the given worker
-// bound, preserving order. The result sets can be fed to both SelectGlobal
-// and SelectPerFile without re-running the (expensive) search.
+// SearchAllMulti returns SearchAll's result set for every input, in input
+// order, with the given worker bound. The result sets can be fed to both
+// SelectGlobal and SelectPerFile without re-running the (expensive) search.
+//
+// Every input shares one pool run, with one item per (input, first stage)
+// pair: the item runs the first stage once and every continuation of it,
+// so a first-stage output is never recomputed, and no worker waits for
+// the rest of an input before starting the next one. Each item writes its
+// own rows of its input's result set, and the input's last item to finish
+// sorts the set.
 func SearchAllMulti(inputs [][]byte, workers int) ([][]Result, error) {
+	lib := Components()
+	nl := len(lib)
 	perInput := make([][]Result, len(inputs))
-	for i, data := range inputs {
-		rs, err := SearchAll(data, workers)
+	pending := make([]atomic.Int32, len(inputs))
+	for i := range perInput {
+		perInput[i] = make([]Result, nl*nl*nl)
+		pending[i].Store(int32(nl))
+	}
+	errs := make([]error, len(inputs)*nl)
+	pool.Run(workers, len(errs), func(item int) {
+		in, s1 := item/nl, item%nl
+		errs[item] = searchFrom(perInput[in][s1*nl*nl:(s1+1)*nl*nl], lib[s1], lib, inputs[in])
+		if pending[in].Add(-1) == 0 {
+			sortResults(perInput[in])
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		perInput[i] = rs
 	}
 	return perInput, nil
 }
@@ -142,41 +162,39 @@ func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
 	if len(inputs) == 0 {
 		return Pipeline{}, nil, fmt.Errorf("lc: no inputs")
 	}
-	// Accumulate log-ratios per pipeline key.
+	// Accumulate log-ratios per pipeline.
 	type acc struct {
 		sumLog float64
 		count  int
-		names  [PipelineDepth]string
 	}
-	accs := make(map[string]*acc)
+	accs := make(map[[PipelineDepth]string]*acc)
 	for _, rs := range perInput {
 		for _, r := range rs {
-			k := pipeKey(r.Names)
-			a, ok := accs[k]
+			a, ok := accs[r.Names]
 			if !ok {
-				a = &acc{names: r.Names}
-				accs[k] = a
+				a = &acc{}
+				accs[r.Names] = a
 			}
 			a.sumLog += math.Log(r.Ratio)
 			a.count++
 		}
 	}
-	bestKey := ""
+	var best [PipelineDepth]string
+	found := false
 	bestMean := math.Inf(-1)
-	for k, a := range accs {
+	for names, a := range accs {
 		if a.count != len(inputs) {
 			continue // pipeline failed on some input; not eligible
 		}
 		mean := a.sumLog / float64(len(inputs))
-		if mean > bestMean || (mean == bestMean && k < bestKey) {
-			bestMean, bestKey = mean, k
+		if mean > bestMean || (found && mean == bestMean && comparePipes(&names, &best) < 0) {
+			best, found, bestMean = names, true, mean
 		}
 	}
-	if bestKey == "" {
+	if !found {
 		return Pipeline{}, nil, fmt.Errorf("lc: no pipeline succeeded on all inputs")
 	}
-	names := accs[bestKey].names
-	pipe, err := NewPipeline(names[:]...)
+	pipe, err := NewPipeline(best[:]...)
 	if err != nil {
 		return Pipeline{}, nil, err
 	}
@@ -184,7 +202,7 @@ func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
 	results := make([]Result, len(inputs))
 	for i, rs := range perInput {
 		for _, r := range rs {
-			if pipeKey(r.Names) == bestKey {
+			if r.Names == best {
 				results[i] = r
 				break
 			}

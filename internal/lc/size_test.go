@@ -83,6 +83,27 @@ func TestSizeMatchesForward(t *testing.T) {
 	}
 }
 
+// TestSizeAllocs pins what each component's size allocates on a study
+// input at 2048 values in both encodings: nothing but HUF's code lengths.
+// RZE, RARE and RAZE keep their per-word scratch on the stack at this
+// size.
+func TestSizeAllocs(t *testing.T) {
+	want := map[string]float64{"HUF": 1}
+	ieee, pos := goldenStudyInput()
+	for _, c := range Components() {
+		for enc, src := range map[string][]byte{"ieee": ieee, "posit": pos} {
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := c.size(src); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != want[c.Name()] {
+				t.Errorf("%s size on %s: %v allocations per call, want %v", c.Name(), enc, got, want[c.Name()])
+			}
+		}
+	}
+}
+
 // FuzzSize is TestSizeMatchesForward on arbitrary bytes.
 func FuzzSize(f *testing.F) {
 	f.Add(goldenStreamInput())

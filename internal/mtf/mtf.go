@@ -48,14 +48,15 @@ func Decode(src []byte) []byte {
 func RLE1(src []byte) []byte {
 	out := make([]byte, 0, len(src)+len(src)/4+16)
 	for i := 0; i < len(src); {
-		b := src[i]
-		run := rle1Run(src[i:])
-		if run >= 4 {
-			out = append(out, b, b, b, b, byte(run-4))
-		} else {
-			out = append(out, src[i:i+run]...)
+		j := nextRun(src, i)
+		out = append(out, src[i:j]...)
+		if j == len(src) {
+			break
 		}
-		i += run
+		run := rle1Run(src[j:])
+		b := src[j]
+		out = append(out, b, b, b, b, byte(run-4))
+		i = j + run
 	}
 	return out
 }
@@ -64,15 +65,35 @@ func RLE1(src []byte) []byte {
 func RLE1Len(src []byte) int {
 	n := 0
 	for i := 0; i < len(src); {
-		run := rle1Run(src[i:])
-		if run >= 4 {
-			n += 5
-		} else {
-			n += run
+		j := nextRun(src, i)
+		n += j - i
+		if j == len(src) {
+			break
 		}
-		i += run
+		n += 5
+		i = j + rle1Run(src[j:])
 	}
 	return n
+}
+
+// nextRun returns the first j >= i at which src holds four identical
+// bytes, or len(src) if there is none. Everything before j is literal,
+// both in RLE1's input and in its output. If src[j+3] differs from
+// src[j+2], no run of 4 can start at j, j+1 or j+2, so the scan advances
+// 3 positions per probe over literal data.
+func nextRun(src []byte, i int) int {
+	for j := i; j+3 < len(src); {
+		if src[j+3] != src[j+2] {
+			j += 3
+			continue
+		}
+		b := src[j]
+		if b == src[j+1] && b == src[j+2] {
+			return j
+		}
+		j++
+	}
+	return len(src)
 }
 
 // rle1Run is the length of the run RLE1 codes at the start of the
@@ -99,33 +120,16 @@ func UnRLE1Limit(src []byte, maxOut int) ([]byte, error) {
 	out := make([]byte, 0, len(src)+len(src)/4)
 	i := 0
 	for i < len(src) {
-		// Find the next run of 4 identical bytes at or after i; everything
-		// before it is literal and copied in one append. If src[j+3] differs
-		// from src[j+2], no run of 4 can start at j, j+1, or j+2, so the
-		// scan advances 3 positions per probe over non-run data.
-		j := i
-		for j+3 < len(src) {
-			if src[j+3] != src[j+2] {
-				j += 3
-				continue
-			}
-			b := src[j]
-			if b == src[j+1] && b == src[j+2] && b == src[j+3] {
-				break
-			}
-			j++
-		}
-		if j+3 >= len(src) {
-			// No further run: the rest of the input is literal.
-			if maxOut > 0 && len(out)+len(src)-i > maxOut {
-				return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: RLE1 output exceeds %d bytes", maxOut)
-			}
-			return append(out, src[i:]...), nil
-		}
+		// Everything before the next run of 4 identical bytes is literal
+		// and copied in one append.
+		j := nextRun(src, i)
 		if maxOut > 0 && len(out)+j-i > maxOut {
 			return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: RLE1 output exceeds %d bytes", maxOut)
 		}
 		out = append(out, src[i:j]...)
+		if j == len(src) {
+			return out, nil
+		}
 		if j+4 >= len(src) {
 			return nil, compress.Errorf(compress.ErrTruncated, "mtf: truncated RLE1 run")
 		}

@@ -81,6 +81,48 @@ func TestRLE1Quick(t *testing.T) {
 	}
 }
 
+// rle1PerByte is RLE1 as it was before the shared run finder: it reads
+// every run, literal ones included, byte by byte. It is the oracle for
+// RLE1's output.
+func rle1PerByte(src []byte) []byte {
+	var out []byte
+	for i := 0; i < len(src); {
+		run := rle1Run(src[i:])
+		if run >= 4 {
+			b := src[i]
+			out = append(out, b, b, b, b, byte(run-4))
+		} else {
+			out = append(out, src[i:i+run]...)
+		}
+		i += run
+	}
+	return out
+}
+
+// TestRLE1MatchesPerByte: RLE1 and RLE1Len agree with the per-byte coder
+// on strings over 1-4 byte values with runs of every length up to 300,
+// and on random bytes.
+func TestRLE1MatchesPerByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 2000; i++ {
+		var s []byte
+		alphabet, target := 1+rng.Intn(4), rng.Intn(2000)
+		for len(s) < target {
+			s = append(s, bytes.Repeat([]byte{byte(rng.Intn(alphabet))}, 1+rng.Intn(300>>rng.Intn(8)))...)
+		}
+		if i%4 == 0 {
+			rng.Read(s)
+		}
+		want := rle1PerByte(s)
+		if got := RLE1(s); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%d bytes): RLE1 %x, per-byte %x", i, len(s), got, want)
+		}
+		if n := RLE1Len(s); n != len(want) {
+			t.Fatalf("case %d (%d bytes): RLE1Len %d, per-byte %d", i, len(s), n, len(want))
+		}
+	}
+}
+
 func TestRLE1RunHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := make([]byte, 0, 100000)
