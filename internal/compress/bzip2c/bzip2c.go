@@ -173,6 +173,57 @@ func numTables(nSyms int) int {
 	}
 }
 
+// Packed group costs: every table's code length for a symbol sits in its
+// own 16-bit lane, three tables per uint64, so one pass over a group sums
+// the costs of all tables at once. An unusable code (length 0) costs
+// zeroLenCost. A group of groupSize symbols costs at most
+// groupSize*zeroLenCost = 1,600 in any table, below 2^16, so no lane ever
+// carries into the next and each lane holds that table's exact sum.
+const (
+	laneBits     = 16
+	lanesPerWord = 3
+	zeroLenCost  = 32 // unusable code: huge penalty
+	maxTables    = 2 * lanesPerWord
+)
+
+// laneCosts holds the packed code lengths of up to maxTables tables
+// (numTables never picks more).
+type laneCosts [alphabetSize][maxTables / lanesPerWord]uint64
+
+// pack loads the code lengths of tables (each at most alphabetSize long)
+// into the lanes.
+func (c *laneCosts) pack(tables [][]uint8) {
+	*c = laneCosts{}
+	for t, tbl := range tables {
+		w, shift := t/lanesPerWord, uint(t%lanesPerWord)*laneBits
+		for sym, l := range tbl {
+			cost := uint64(l)
+			if cost == 0 {
+				cost = zeroLenCost
+			}
+			c[sym][w] |= cost << shift
+		}
+	}
+}
+
+// cheapest returns the first of tables 0..nTables-1 with the lowest cost
+// for group (at most groupSize symbols): the table the per-table loop, with
+// ties to the lowest index, picks.
+func (c *laneCosts) cheapest(group []uint16, nTables int) int {
+	var sum [maxTables / lanesPerWord]uint64
+	for _, s := range group {
+		sum[0] += c[s][0]
+		sum[1] += c[s][1]
+	}
+	best, bestCost := 0, uint64(1)<<laneBits
+	for t := 0; t < nTables; t++ {
+		if cost := sum[t/lanesPerWord] >> (uint(t%lanesPerWord) * laneBits) & (1<<laneBits - 1); cost < bestCost {
+			best, bestCost = t, cost
+		}
+	}
+	return best
+}
+
 // huffEncodeBlock is the final encode stage: train the Huffman
 // tables on the block's symbol stream and write the block payload.
 func huffEncodeBlock(block []byte, primary int, syms []uint16) ([]byte, error) {
@@ -201,8 +252,10 @@ func huffEncodeBlock(block []byte, primary int, syms []uint16) ([]byte, error) {
 		}
 	}
 	selectors := make([]int, nSel)
+	var costs laneCosts
 	for iter := 0; iter < 4; iter++ {
 		// Assign each group its cheapest table.
+		costs.pack(tables)
 		freqsPer := make([][]int, nGroups)
 		for t := range freqsPer {
 			freqsPer[t] = make([]int, alphabetSize)
@@ -212,20 +265,7 @@ func huffEncodeBlock(block []byte, primary int, syms []uint16) ([]byte, error) {
 			if hi > len(syms) {
 				hi = len(syms)
 			}
-			bestT, bestCost := 0, int(^uint(0)>>1)
-			for t := 0; t < nGroups; t++ {
-				cost := 0
-				for _, s := range syms[lo:hi] {
-					l := int(tables[t][s])
-					if l == 0 {
-						l = 32 // unusable code: huge penalty
-					}
-					cost += l
-				}
-				if cost < bestCost {
-					bestT, bestCost = t, cost
-				}
-			}
+			bestT := costs.cheapest(syms[lo:hi], nGroups)
 			selectors[g] = bestT
 			for _, s := range syms[lo:hi] {
 				freqsPer[bestT][s]++

@@ -194,7 +194,9 @@ func writeCompatBlock(w *bitio.Writer, block []byte, blockCRC uint32) error {
 		}
 	}
 	selectors := make([]int, nSel)
+	var costs laneCosts // every length is 1..17, so no lane sees the 0 penalty
 	for iter := 0; iter < 4; iter++ {
+		costs.pack(tables)
 		freqsPer := make([][]int, nGroups)
 		for t := range freqsPer {
 			freqsPer[t] = make([]int, alphaSize)
@@ -204,16 +206,7 @@ func writeCompatBlock(w *bitio.Writer, block []byte, blockCRC uint32) error {
 			if hi > len(syms) {
 				hi = len(syms)
 			}
-			bestT, bestCost := 0, int(^uint(0)>>1)
-			for t := 0; t < nGroups; t++ {
-				cost := 0
-				for _, s := range syms[lo:hi] {
-					cost += int(tables[t][s])
-				}
-				if cost < bestCost {
-					bestT, bestCost = t, cost
-				}
-			}
+			bestT := costs.cheapest(syms[lo:hi], nGroups)
 			selectors[g] = bestT
 			for _, s := range syms[lo:hi] {
 				freqsPer[bestT][s]++

@@ -53,7 +53,7 @@ func (c *Codec) Info() compress.Info {
 // and update them identically.
 type models struct {
 	isMatch  []rangecoder.Prob   // [2*4]: context = (previous op was a match, pos&3)
-	isRep    []rangecoder.Prob   // [1]: rep0 vs new distance
+	isRep    []rangecoder.Prob   // [4]: [0] rep vs new distance, [1..3] the rep-index tree
 	literals [][]rangecoder.Prob // 0x300 probs per context (LZMA literal coder)
 	lenCoder *lenCoder
 	repLen   *lenCoder
@@ -219,30 +219,13 @@ func litCtx(src []byte, pos int) int {
 // operation was a match, the byte at the last match distance (matchByte)
 // steers the probability tree bitwise until the first mismatch — the
 // "matched literal" mode that exploits strided similarity in binary data.
+// Both modes keep the range state in registers across the eight bits.
 func encodeLiteral(e *rangecoder.Encoder, probs []rangecoder.Prob, b byte, matched bool, matchByte byte) {
-	node := uint32(1)
 	if matched {
-		for i := 7; i >= 0; i-- {
-			matchBit := uint32(matchByte>>uint(i)) & 1
-			bit := int(b>>uint(i)) & 1
-			e.EncodeBit(&probs[(1+matchBit)<<8+node], bit)
-			node = node<<1 | uint32(bit)
-			if matchBit != uint32(bit) {
-				for i--; i >= 0; i-- {
-					bit := int(b>>uint(i)) & 1
-					e.EncodeBit(&probs[node], bit)
-					node = node<<1 | uint32(bit)
-				}
-				return
-			}
-		}
+		e.EncodeTreeMatched(probs, b, matchByte)
 		return
 	}
-	for i := 7; i >= 0; i-- {
-		bit := int(b>>uint(i)) & 1
-		e.EncodeBit(&probs[node], bit)
-		node = node<<1 | uint32(bit)
-	}
+	e.EncodeTree(probs, 8, uint32(b))
 }
 
 // decodeLiteral mirrors encodeLiteral.
@@ -255,7 +238,6 @@ func decodeLiteral(d *rangecoder.Decoder, probs []rangecoder.Prob, matched bool,
 	return byte(d.DecodeTree(probs, 8))
 }
 
-// Compress implements compress.Codec.
 // Compress implements compress.Codec using a chunked price-based optimal
 // parse (LZMA's GetOptimum approach): within each horizon, dynamic
 // programming over literal / rep-match / fresh-match transitions priced
@@ -328,8 +310,16 @@ type optEncoder struct {
 	dist      []int32 // 0 = literal
 	rep0s     []int32 // most recent match distance along the best path
 	matchBuf  []lz77.Match
+	ops       []op     // the backtracked path, reused across horizons
 	lenTab    []uint32 // fresh-match length prices (index len-lenBase)
 	repLenTab []uint32
+}
+
+// op is one step of a horizon's cheapest path: a literal (dist 0) or a
+// match at horizon offset at.
+type op struct {
+	at, len int
+	dist    int
 }
 
 func newOptEncoder(c *Codec, src []byte) *optEncoder {
@@ -402,49 +392,44 @@ func (o *optEncoder) emitMatch(dist, length int) {
 
 // litPriceAt prices the literal at absolute position p. When the previous
 // op on the path was a match, the literal is coded in matched mode and its
-// price depends on the byte at the path's rep0 distance.
+// price depends on the byte at the path's rep0 distance. Both modes walk
+// the contexts EncodeTree and EncodeTreeMatched code: in matched mode,
+// offs is 0x100 until the first bit that differs from matchByte and 0 from
+// there on, so no branch depends on the bits.
 func (o *optEncoder) litPriceAt(p int, matched bool, matchByte byte) uint32 {
-	probs := o.m.literals[litCtx(o.src, p)]
-	b := o.src[p]
+	probs := o.m.literals[litCtx(o.src, p)][:0x300]
+	s := uint32(o.src[p]) | 0x100 // s>>8 is the node; bit 7 is the next bit
 	price := uint32(0)
-	node := uint32(1)
 	if matched {
-		for i := 7; i >= 0; i-- {
-			matchBit := uint32(matchByte>>uint(i)) & 1
-			bit := int(b>>uint(i)) & 1
-			price += probs[(1+matchBit)<<8+node].Price(bit)
-			node = node<<1 | uint32(bit)
-			if matchBit != uint32(bit) {
-				for i--; i >= 0; i-- {
-					bit := int(b>>uint(i)) & 1
-					price += probs[node].Price(bit)
-					node = node<<1 | uint32(bit)
-				}
-				return price
-			}
+		offs := uint32(0x100)
+		match := uint32(matchByte)
+		for s < 0x10000 {
+			match <<= 1
+			price += probs[offs+match&offs+s>>8].Price(int(s >> 7 & 1))
+			s <<= 1
+			offs &^= match ^ s
 		}
 		return price
 	}
-	for i := 7; i >= 0; i-- {
-		bit := int(b>>uint(i)) & 1
-		price += probs[node].Price(bit)
-		node = node<<1 | uint32(bit)
-	}
-	return price
+	// The plain walk's nodes are prefixes of the byte, known up front, so
+	// the eight lookups are independent of each other.
+	return probs[s>>8].Price(int(s>>7&1)) +
+		probs[s>>7].Price(int(s>>6&1)) +
+		probs[s>>6].Price(int(s>>5&1)) +
+		probs[s>>5].Price(int(s>>4&1)) +
+		probs[s>>4].Price(int(s>>3&1)) +
+		probs[s>>3].Price(int(s>>2&1)) +
+		probs[s>>2].Price(int(s>>1&1)) +
+		probs[s>>1].Price(int(s&1))
 }
 
+// fillPrices writes the price of every length code v (0..maxLenCode) to
+// tab[v]: the choice bits plus one walk of each tree.
 func (lc *lenCoder) fillPrices(tab []uint32) {
 	c0, c1 := lc.choice[0], lc.choice[1]
-	for v := 0; v <= maxLenCode; v++ {
-		switch {
-		case v < 8:
-			tab[v] = c0.Price(0) + lc.low.Price(uint32(v))
-		case v < 16:
-			tab[v] = c0.Price(1) + c1.Price(0) + lc.mid.Price(uint32(v-8))
-		default:
-			tab[v] = c0.Price(1) + c1.Price(1) + lc.high.Price(uint32(v-16))
-		}
-	}
+	lc.low.FillPrices(tab[:8], c0.Price(0))
+	lc.mid.FillPrices(tab[8:16], c0.Price(1)+c1.Price(0))
+	lc.high.FillPrices(tab[16:maxLenCode+1], c0.Price(1)+c1.Price(1))
 }
 
 func (o *optEncoder) repIndexPrice(idx int) uint32 {
@@ -589,22 +574,13 @@ func (o *optEncoder) parseChunk() {
 		}
 		for idx := 0; idx < nCands && idx < 4; idx++ {
 			r := repCands[idx]
-			if r > p {
+			// A rep match needs its first two bytes (maxL >= 2 keeps
+			// p+1 in src), and most candidates fail there.
+			if r > p || src[p-r] != src[p] || src[p-r+1] != src[p+1] {
 				continue
 			}
 			l := lz77.MatchLen(src, p-r, p, maxL)
-			if l < minRepMatch {
-				continue
-			}
-			base := repBase + o.repIndexPrice(idx)
-			for L := minRepMatch; L <= l; L++ {
-				if cp := base + o.repLenTab[L-lenBase]; cp < cost[i+L] {
-					cost[i+L] = cp
-					from[i+L] = int32(i)
-					dist[i+L] = int32(r)
-					rep0s[i+L] = int32(r)
-				}
-			}
+			o.relax(i, minRepMatch, l, repBase+o.repIndexPrice(idx), o.repLenTab, r)
 		}
 		// Fresh matches.
 		if maxL >= minMatch {
@@ -612,36 +588,27 @@ func (o *optEncoder) parseChunk() {
 			o.matchBuf = o.matcher.FindMatches(p, maxL, o.matchBuf[:0])
 			prevLen := minMatch - 1
 			for _, mt := range o.matchBuf {
-				dp4 := freshBase + o.distPrice(2, mt.Dist)
-				dp5 := freshBase + o.distPrice(3, mt.Dist)
-				for L := prevLen + 1; L <= mt.Len; L++ {
-					dp := dp5
-					if L == minMatch {
-						dp = dp4
-					}
-					if cp := dp + o.lenTab[L-lenBase]; cp < cost[i+L] {
-						cost[i+L] = cp
-						from[i+L] = int32(i)
-						dist[i+L] = int32(mt.Dist)
-						rep0s[i+L] = int32(mt.Dist)
-					}
+				// Length minMatch prices its distance under context 2,
+				// every longer length under context 3.
+				lo := prevLen + 1
+				if lo == minMatch {
+					o.relax(i, minMatch, minMatch, freshBase+o.distPrice(2, mt.Dist), o.lenTab, mt.Dist)
+					lo++
 				}
+				o.relax(i, lo, mt.Len, freshBase+o.distPrice(3, mt.Dist), o.lenTab, mt.Dist)
 				prevLen = mt.Len
 			}
 		}
 	}
 
 	// Backtrack the cheapest path to the horizon, then emit its prefix.
-	type op struct {
-		at, len int
-		dist    int
-	}
-	var ops []op
+	ops := o.ops[:0]
 	for j := h; j > 0; {
 		i := int(from[j])
 		ops = append(ops, op{at: i, len: j - i, dist: int(dist[j])})
 		j = i
 	}
+	o.ops = ops
 	emitLimit := optEmit
 	if h < optHorizon {
 		emitLimit = h // file tail: emit everything
@@ -655,6 +622,33 @@ func (o *optEncoder) parseChunk() {
 			o.emitLiteral()
 		} else {
 			o.emitMatch(opk.dist, opk.len)
+		}
+	}
+}
+
+// relax offers node i's match at distance d for every length L in
+// [lo, hi]: the path reaching i+L costs base+lenTab[L-lenBase], and it
+// replaces the node's best path when strictly cheaper. The loop runs over
+// equal-length subslices, so it has no bounds checks.
+func (o *optEncoder) relax(i, lo, hi int, base uint32, lenTab []uint32, d int) {
+	if hi < lo {
+		return
+	}
+	tab := lenTab[lo-lenBase : hi-lenBase+1]
+	cost := o.cost[i+lo : i+hi+1]
+	cost = cost[:len(tab)]
+	from := o.from[i+lo : i+hi+1]
+	from = from[:len(tab)]
+	dist := o.dist[i+lo : i+hi+1]
+	dist = dist[:len(tab)]
+	rep0s := o.rep0s[i+lo : i+hi+1]
+	rep0s = rep0s[:len(tab)]
+	for k, lp := range tab {
+		if cp := base + lp; cp < cost[k] {
+			cost[k] = cp
+			from[k] = int32(i)
+			dist[k] = int32(d)
+			rep0s[k] = int32(d)
 		}
 	}
 }

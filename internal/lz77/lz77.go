@@ -89,7 +89,8 @@ func (m *Matcher) Insert(pos int) {
 // FindMatch returns the longest match for the data at pos against earlier
 // inserted positions within the window, with maximum length maxLen.
 // It returns (0,0) if no match of at least MinMatch exists. Ties prefer
-// smaller distances.
+// smaller distances. Chain entries at or past pos are skipped but still
+// count against the search depth (see FindMatches).
 func (m *Matcher) FindMatch(pos, maxLen int) (dist, length int) {
 	if pos+MinMatch > len(m.src) {
 		return 0, 0
@@ -106,7 +107,8 @@ func (m *Matcher) FindMatch(pos, maxLen int) (dist, length int) {
 	for tries := m.depth; cand >= 0 && int(cand) >= limit && tries > 0; tries-- {
 		c := int(cand)
 		if c >= pos {
-			// The matcher may be populated ahead of the query position.
+			// An entry inserted ahead of the query position is skipped,
+			// but the loop's tries-- still charges it to the depth.
 			cand = m.prev[c]
 			continue
 		}
@@ -137,8 +139,12 @@ type Match struct {
 
 // FindMatches appends strictly-lengthening match candidates at pos to dst:
 // each entry has the smallest distance seen for its length, and lengths
-// increase along the slice. Candidates at or beyond pos are skipped, so the
-// matcher may be pre-populated ahead of the query position.
+// increase along the slice. Candidates at or beyond pos are skipped, but
+// each one still uses up one of the depth's tries, so a matcher populated
+// ahead of the query position searches fewer earlier positions: a chain
+// whose first depth entries all lie ahead reports no match at all. The
+// XZ-class encoder inserts a whole horizon ahead, and its output depends on
+// this accounting.
 func (m *Matcher) FindMatches(pos, maxLen int, dst []Match) []Match {
 	if pos+MinMatch > len(m.src) {
 		return dst

@@ -3,11 +3,21 @@
 // before the BWT) and the RUNA/RUNB zero-run coding applied after MTF.
 package mtf
 
-import "positbench/internal/compress"
+import (
+	"bytes"
+
+	"positbench/internal/compress"
+)
 
 // Encode applies the move-to-front transform in place semantics: the result
 // has the same length as src. Small output values indicate recently used
 // bytes, which is what makes post-BWT data highly compressible.
+//
+// The table is a permutation of the 256 byte values, so each byte's rank
+// is its only occurrence, and bytes.IndexByte finds it with vector loads
+// instead of a byte-at-a-time scan (the flat table and its memmove stay;
+// see DecodeRunsMTFLimit). A repeat of the front byte, the common case
+// after the BWT, skips the search.
 func Encode(src []byte) []byte {
 	var table [256]byte
 	for i := range table {
@@ -15,10 +25,10 @@ func Encode(src []byte) []byte {
 	}
 	out := make([]byte, len(src))
 	for i, b := range src {
-		var j int
-		for table[j] != b {
-			j++
+		if table[0] == b {
+			continue // out[i] is already 0
 		}
+		j := bytes.IndexByte(table[1:], b) + 1
 		out[i] = byte(j)
 		copy(table[1:j+1], table[:j])
 		table[0] = b

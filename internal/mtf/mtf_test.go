@@ -7,7 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"positbench/internal/bwt"
 	"positbench/internal/compress"
+	"positbench/internal/posit"
+	"positbench/internal/sdrbench"
 )
 
 func TestMTFKnown(t *testing.T) {
@@ -249,5 +252,63 @@ func TestDecodeZeroRunsLimit(t *testing.T) {
 	out, err := DecodeZeroRunsLimit(enc, 1000)
 	if err != nil || len(out) != 1000 {
 		t.Fatalf("in-bounds decode: %d bytes, %v", len(out), err)
+	}
+}
+
+// encodeByteLoop is the byte-at-a-time rank search Encode replaces.
+func encodeByteLoop(src []byte) []byte {
+	var table [256]byte
+	for i := range table {
+		table[i] = byte(i)
+	}
+	out := make([]byte, len(src))
+	for i, b := range src {
+		var j int
+		for table[j] != b {
+			j++
+		}
+		out[i] = byte(j)
+		copy(table[1:j+1], table[:j])
+		table[0] = b
+	}
+	return out
+}
+
+// TestEncodeMatchesByteLoop: the IndexByte search gives the byte loop's
+// ranks on random bytes, on few-symbol and constant runs, on a sweep that
+// moves every rank through the front, and on what bzip2 feeds it: the BWT
+// of every study input at 4096 values in both encodings.
+func TestEncodeMatchesByteLoop(t *testing.T) {
+	const seed = 20261022
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	var inputs [][]byte
+	for _, n := range []int{0, 1, 2, 255, 256, 4096} {
+		random, few := make([]byte, n), make([]byte, n)
+		rng.Read(random)
+		for i := range few {
+			few[i] = byte(rng.Intn(3)) * 85
+		}
+		inputs = append(inputs, random, few, bytes.Repeat([]byte{0xA5}, n))
+	}
+	var sweep []byte
+	for i := 0; i < 3*256; i++ {
+		sweep = append(sweep, byte(255-i%256), byte(i%256))
+	}
+	inputs = append(inputs, sweep)
+	for _, spec := range sdrbench.Inputs() {
+		floats := spec.Generate(4096)
+		for _, enc := range [][]byte{
+			posit.EncodeFloat32LE(floats),
+			posit.EncodeWordsLE(posit.Posit32e3.FromFloat32SliceWorkers(nil, floats, 1)),
+		} {
+			last, _ := bwt.Transform(RLE1(enc))
+			inputs = append(inputs, last)
+		}
+	}
+	for i, src := range inputs {
+		if got, want := Encode(src), encodeByteLoop(src); !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%d bytes): Encode differs from the byte loop", i, len(src))
+		}
 	}
 }

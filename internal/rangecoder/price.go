@@ -33,12 +33,20 @@ func init() {
 	}
 }
 
-// Price returns the cost of coding bit under context p.
+// Price returns the cost of coding bit under context p. A nonzero bit is
+// priced as 1.
+//
+// The probability of the coded bit is selected with a mask instead of a
+// branch: the bits an optimal parser prices (literal bits of float
+// mantissas above all) are near-random, so a branch on them mispredicts
+// about half the time. The select is exact. LZMA's shortcut of indexing
+// with p ^ 0x7FF (that is, 2047-p) instead of probTotal-p reads the bucket
+// below whenever p is a multiple of 16, and that changes parse decisions.
 func (p Prob) Price(bit int) uint32 {
-	if bit == 0 {
-		return probPrices[p>>PriceShift]
-	}
-	return probPrices[(probTotal-p)>>PriceShift]
+	one := uint32(int64(bit|-bit) >> 63) // all ones for a nonzero bit
+	v := uint32(p)
+	v ^= (v ^ (probTotal - v)) & one
+	return probPrices[v>>PriceShift]
 }
 
 // Price returns the cost of coding sym through the tree.
@@ -51,6 +59,29 @@ func (t *BitTree) Price(sym uint32) uint32 {
 		node = node<<1 | uint32(bit)
 	}
 	return price
+}
+
+// FillPrices writes base+Price(sym) to tab[sym] for every symbol of the
+// tree, in 2^(n+1)-2 additions instead of one n-step walk per symbol. It
+// walks the tree top down; at level k, the partial sum of node j (its
+// path's prices so far) is kept at tab[j<<(n-k)], the slot of the first
+// symbol below it, so no scratch is needed. The prices on each path are
+// the ones Price adds, and uint32 addition is associative and commutative,
+// so every entry equals base+Price(sym) exactly. tab needs 2^n entries.
+func (t *BitTree) FillPrices(tab []uint32, base uint32) {
+	n := t.nbits
+	tab = tab[:1<<n]
+	tab[0] = base
+	for k := uint(0); k < n; k++ {
+		s := n - k
+		nodes := t.probs[1<<k : 2<<k]
+		for j, p := range nodes {
+			at := j << s
+			sum := tab[at]
+			tab[at] = sum + p.Price(0)
+			tab[at+1<<(s-1)] = sum + p.Price(1)
+		}
+	}
 }
 
 // PriceReverse returns the cost of coding sym LSB-first through the tree.

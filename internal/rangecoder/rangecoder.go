@@ -57,21 +57,94 @@ func (e *Encoder) shiftLow() {
 	e.low = e.low << 8 & 0xFFFFFFFF
 }
 
-// EncodeBit codes one bit under the adaptive context *p.
+// EncodeBit codes one bit under the adaptive context *p. A nonzero bit is
+// coded as 1. Like DecodeBit it selects with masks instead of a branch on
+// the bit; only normalization, about once per output byte, branches.
 func (e *Encoder) EncodeBit(p *Prob, bit int) {
-	bound := e.rng >> probBits * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (probTotal - *p) >> moveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> moveBits
+	low, rng, pv := encodeMasked(uint32(*p), uint32(uint64(bit|-bit)>>63), e.low, e.rng)
+	*p = pv
+	if rng < topValue {
+		low, rng = e.normalize(low, rng)
 	}
-	for e.rng < topValue {
-		e.rng <<= 8
+	e.low, e.rng = low, rng
+}
+
+// EncodeTree codes the nbits-bit sym MSB-first through the implicit tree
+// rooted at probs[1], with the same result as one EncodeBit per node. The
+// range registers stay in locals across the walk, and each bit is coded
+// with masks instead of a branch on the bit: the literal bits of float data
+// are near-random, so a branch mispredicts on about half of them.
+// Normalization stays a branch, taken about once per output byte. It is the
+// encode side of Decoder.DecodeTree; BitTree.Encode and the XZ-class
+// encoder's literals use it.
+func (e *Encoder) EncodeTree(probs []Prob, nbits uint, sym uint32) {
+	// Indexed nodes satisfy node&mask == node, so after the reslice the
+	// loop runs without bounds checks.
+	mask := uint32(1)<<nbits - 1
+	probs = probs[:mask+1]
+	low, rng := e.low, e.rng
+	node := uint32(1)
+	for i := nbits; i > 0; {
+		i--
+		bit := sym >> i & 1
+		low, rng, probs[node&mask] = encodeMasked(uint32(probs[node&mask]), bit, low, rng)
+		if rng < topValue {
+			low, rng = e.normalize(low, rng)
+		}
+		node = node<<1 | bit
+	}
+	e.low, e.rng = low, rng
+}
+
+// EncodeTreeMatched is the LZMA matched-literal walk, the encode side of
+// Decoder.DecodeTreeMatched: while the coded bits of sym agree with
+// matchByte, bit i is coded under probs[(1+matchBit)<<8+node]; from the
+// first divergence on, under the plain tree probs[node]. probs needs 0x300
+// entries. The result equals one EncodeBit per bit.
+//
+// The mode switch is branch-free too (LZMA's LitEnc_EncodeMatched): offs
+// stays 0x100 while the bits agree and drops to 0 at the first divergence,
+// so the context index is offs + matchBit<<8 while matching and node
+// afterwards.
+func (e *Encoder) EncodeTreeMatched(probs []Prob, sym, matchByte byte) {
+	probs = probs[:0x300]
+	low, rng := e.low, e.rng
+	offs := uint32(0x100)
+	s := uint32(sym) | 0x100 // s>>8 is the node; bit 7 is the next bit
+	match := uint32(matchByte)
+	for s < 0x10000 {
+		match <<= 1 // bit 8 is the matched byte's next bit
+		idx := offs + match&offs + s>>8
+		low, rng, probs[idx] = encodeMasked(uint32(probs[idx]), s>>7&1, low, rng)
+		if rng < topValue {
+			low, rng = e.normalize(low, rng)
+		}
+		s <<= 1
+		offs &^= match ^ s
+	}
+	e.low, e.rng = low, rng
+}
+
+// encodeMasked is the encoder's one coding step, on locals, with the bit
+// (0 or 1) selected by a mask instead of a branch: one is all ones for bit
+// 1, so low gains bound and rng becomes rng-bound only then, and the
+// probability moves down instead of up. It returns the new registers and
+// probability; the caller normalizes.
+func encodeMasked(pv, bit uint32, low uint64, rng uint32) (uint64, uint32, Prob) {
+	bound := rng >> probBits * pv
+	one := -bit
+	return low + uint64(bound&one), bound + (rng-2*bound)&one,
+		Prob(pv - pv>>moveBits + ((probTotal-pv)>>moveBits+pv>>moveBits)&^one)
+}
+
+// normalize shifts bytes out of low until rng holds at least 24 bits.
+func (e *Encoder) normalize(low uint64, rng uint32) (uint64, uint32) {
+	e.low = low
+	for rng < topValue {
+		rng <<= 8
 		e.shiftLow()
 	}
+	return e.low, rng
 }
 
 // EncodeDirect codes n bits of v (MSB first) at fixed probability 0.5.
@@ -602,12 +675,7 @@ func NewBitTree(n uint) *BitTree {
 
 // Encode codes sym (n bits).
 func (t *BitTree) Encode(e *Encoder, sym uint32) {
-	node := uint32(1)
-	for i := int(t.nbits) - 1; i >= 0; i-- {
-		bit := int(sym >> uint(i) & 1)
-		e.EncodeBit(&t.probs[node], bit)
-		node = node<<1 | uint32(bit)
-	}
+	e.EncodeTree(t.probs, t.nbits, sym)
 }
 
 // Decode reads an n-bit symbol.
