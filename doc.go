@@ -4,8 +4,8 @@
 // and LC-synthesized pipelines compress scientific float32 data when it is
 // re-encoded as posit<32,3>.
 //
-// The library lives under internal/: the posit codec and arithmetic
-// (internal/posit), the five compressor classes (internal/compress/...),
+// The library lives under internal/: the posit codec (internal/posit),
+// the five compressor classes (internal/compress/...),
 // the LC pipeline-synthesis framework (internal/lc), the synthetic
 // SDRBench substitutes (internal/sdrbench), and the study engine
 // (internal/core). Executables are under cmd/ and runnable examples under

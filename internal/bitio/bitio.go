@@ -67,12 +67,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	w.cur, w.nbit = acc, rem
 }
 
-// WriteByte appends an aligned or unaligned full byte.
-func (w *Writer) WriteByte(b byte) error {
-	w.WriteBits(uint64(b), 8)
-	return nil
-}
-
 // WriteBytes appends a byte slice.
 func (w *Writer) WriteBytes(p []byte) {
 	if w.nbit == 0 {
@@ -92,9 +86,6 @@ func (w *Writer) Align() {
 		w.cur, w.nbit = 0, 0
 	}
 }
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
 
 // Bytes flushes (aligning to a byte boundary) and returns the written bytes.
 // The returned slice aliases the writer's buffer.
@@ -254,15 +245,6 @@ func (r *Reader) ReadByte() (byte, error) {
 	return byte(v), err
 }
 
-// Align discards bits up to the next byte boundary of the logical stream
-// position (the position accounting for the lookahead word, not the raw
-// load offset).
-func (r *Reader) Align() {
-	k := r.nbit & 7
-	r.cur <<= k
-	r.nbit -= k
-}
-
 // Remaining reports the number of unread whole bits.
 func (r *Reader) Remaining() int {
 	return (len(r.buf)-r.pos)*8 + int(r.nbit)
@@ -285,30 +267,4 @@ func Uvarint(buf []byte) (uint64, int, error) {
 		return 0, 0, compress.Errorf(compress.ErrCorrupt, "bitio: uvarint overflows 64 bits")
 	}
 	return v, n, nil
-}
-
-// PutU32 appends v little-endian.
-func PutU32(buf []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, v)
-}
-
-// U32 reads a little-endian uint32 from the front of buf.
-func U32(buf []byte) (uint32, error) {
-	if len(buf) < 4 {
-		return 0, ErrUnexpectedEOF
-	}
-	return binary.LittleEndian.Uint32(buf), nil
-}
-
-// PutU64 appends v little-endian.
-func PutU64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
-// U64 reads a little-endian uint64 from the front of buf.
-func U64(buf []byte) (uint64, error) {
-	if len(buf) < 8 {
-		return 0, ErrUnexpectedEOF
-	}
-	return binary.LittleEndian.Uint64(buf), nil
 }

@@ -68,7 +68,9 @@ func TestAlign(t *testing.T) {
 	if v, _ := r.ReadBit(); v != 1 {
 		t.Fatal("first bit")
 	}
-	r.Align()
+	if pad, _ := r.ReadBits(7); pad != 0 {
+		t.Fatalf("padding %x, want zero bits", pad)
+	}
 	if v, _ := r.ReadByte(); v != 0xAB {
 		t.Fatalf("got %x want ab", v)
 	}
@@ -100,17 +102,6 @@ func TestWriteBytesUnaligned(t *testing.T) {
 	}
 	if v, _ := r.ReadByte(); v != 0xF0 {
 		t.Fatalf("got %x", v)
-	}
-}
-
-func TestBitLen(t *testing.T) {
-	w := NewWriter(8)
-	if w.BitLen() != 0 {
-		t.Fatal("empty BitLen")
-	}
-	w.WriteBits(0, 13)
-	if w.BitLen() != 13 {
-		t.Fatalf("got %d want 13", w.BitLen())
 	}
 }
 
@@ -165,32 +156,10 @@ func TestVarints(t *testing.T) {
 	}
 }
 
-func TestFixedInts(t *testing.T) {
-	b := PutU32(nil, 0xCAFEBABE)
-	v, err := U32(b)
-	if err != nil || v != 0xCAFEBABE {
-		t.Fatalf("U32 got %x,%v", v, err)
-	}
-	b8 := PutU64(nil, 0x0102030405060708)
-	v8, err := U64(b8)
-	if err != nil || v8 != 0x0102030405060708 {
-		t.Fatalf("U64 got %x,%v", v8, err)
-	}
-	if _, err := U32([]byte{1, 2}); err == nil {
-		t.Fatal("want error")
-	}
-	if _, err := U64([]byte{1, 2}); err == nil {
-		t.Fatal("want error")
-	}
-}
-
 func TestWriterReset(t *testing.T) {
 	w := NewWriter(8)
 	w.WriteBits(0xFF, 8)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatal("reset did not clear")
-	}
 	w.WriteBits(0xA, 4)
 	if !bytes.Equal(w.Bytes(), []byte{0xA0}) {
 		t.Fatalf("got %x", w.Bytes())

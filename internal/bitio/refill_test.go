@@ -100,26 +100,6 @@ func TestPeekBeyondEmpty(t *testing.T) {
 	}
 }
 
-func TestAlignMidWord(t *testing.T) {
-	// 16 bytes so the first refill loads a full word; Align must round the
-	// logical position, not the word-load offset.
-	buf := make([]byte, 16)
-	for i := range buf {
-		buf[i] = byte(i + 1)
-	}
-	r := NewReader(buf)
-	if _, err := r.ReadBits(3); err != nil {
-		t.Fatal(err)
-	}
-	r.Align()
-	if b, _ := r.ReadByte(); b != 2 {
-		t.Fatalf("after align got %d want 2", b)
-	}
-	if got := r.Remaining(); got != 14*8 {
-		t.Fatalf("Remaining = %d want %d", got, 14*8)
-	}
-}
-
 func TestReaderReset(t *testing.T) {
 	r := NewReader([]byte{0xAA})
 	if _, err := r.ReadBits(8); err != nil {
@@ -132,7 +112,7 @@ func TestReaderReset(t *testing.T) {
 }
 
 // FuzzReaderDifferential replays a fuzz-chosen schedule of reads, peeks,
-// consumes and aligns against the naive reference reader.
+// consumes and single-bit reads against the naive reference reader.
 func FuzzReaderDifferential(f *testing.F) {
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF}, []byte{3, 8, 64, 1})
 	f.Add(make([]byte, 17), []byte{56, 57, 7, 9})
@@ -175,18 +155,12 @@ func FuzzReaderDifferential(f *testing.F) {
 				if !ok {
 					refPos = len(data) * 8
 				}
-			case 2: // ReadBit
+			case 2, 3: // ReadBit
 				wantV, ok := refTake(data, &refPos, 1)
 				gotV, err := r.ReadBit()
 				if ok != (err == nil) || (ok && uint64(gotV) != wantV) {
 					t.Fatalf("op %d ReadBit: got %d,%v want %d,%v", i, gotV, err, wantV, ok)
 				}
-			case 3: // Align
-				refPos = (refPos + 7) &^ 7
-				if refPos > len(data)*8 {
-					refPos = len(data) * 8
-				}
-				r.Align()
 			}
 			if want := len(data)*8 - refPos; r.Remaining() != want {
 				t.Fatalf("op %d: Remaining = %d want %d", i, r.Remaining(), want)

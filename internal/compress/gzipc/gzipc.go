@@ -15,7 +15,6 @@ import (
 
 // Codec is the gzip-class compressor.
 type Codec struct {
-	level int
 	wpool sync.Pool // *gzWriter, Huffman/window state reused across chunks
 	rpool sync.Pool // *gzReader
 }
@@ -40,10 +39,7 @@ type gzReader struct {
 }
 
 // New returns a gzip codec at BestCompression, mirroring `gzip --best`.
-func New() *Codec { return &Codec{level: gzip.BestCompression} }
-
-// NewLevel returns a gzip codec at an explicit flate level (1..9).
-func NewLevel(level int) *Codec { return &Codec{level: level} }
+func New() *Codec { return &Codec{} }
 
 // Name implements compress.Codec.
 func (c *Codec) Name() string { return "gzip" }
@@ -65,7 +61,7 @@ func (c *Codec) CompressAppend(dst, src []byte) ([]byte, error) {
 	z, _ := c.wpool.Get().(*gzWriter)
 	if z == nil {
 		z = &gzWriter{}
-		gw, err := gzip.NewWriterLevel(z, c.level)
+		gw, err := gzip.NewWriterLevel(z, gzip.BestCompression)
 		if err != nil {
 			return nil, err
 		}

@@ -16,22 +16,17 @@ import (
 )
 
 const (
-	defaultWindow = 1 << 20
-	minMatch      = lz77.MinMatch
-	numValCodes   = 40 // gamma bucket codes for lengths/offsets
+	window      = 1 << 20
+	depth       = 96 // chain positions searched per query
+	minMatch    = lz77.MinMatch
+	numValCodes = 40 // gamma bucket codes for lengths/offsets
 )
 
 // Codec is the zstd-class compressor.
-type Codec struct {
-	window int
-	depth  int
-}
+type Codec struct{}
 
 // New returns a codec at maximum-effort settings (`zstd -19`-like).
-func New() *Codec { return &Codec{window: defaultWindow, depth: 96} }
-
-// NewParams returns a codec with explicit window and search depth.
-func NewParams(window, depth int) *Codec { return &Codec{window: window, depth: depth} }
+func New() *Codec { return &Codec{} }
 
 // Name implements compress.Codec.
 func (c *Codec) Name() string { return "zstd" }
@@ -63,7 +58,7 @@ func valDecode(code int, extra uint64) int {
 func (c *Codec) Compress(src []byte) ([]byte, error) {
 	var seqs []sequence
 	var lits []byte
-	m := lz77.NewMatcher(src, c.window, c.depth)
+	m := lz77.NewMatcher(src, window, depth)
 	pos, litStart := 0, 0
 	for pos < len(src) {
 		dist, mlen := m.FindMatch(pos, len(src)-pos)

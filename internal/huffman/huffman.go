@@ -246,9 +246,6 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) {
 	w.WriteBits(uint64(e.codes[sym]), uint(e.lengths[sym]))
 }
 
-// CodeLen returns the code length of sym in bits (0 if sym has no code).
-func (e *Encoder) CodeLen(sym int) int { return int(e.lengths[sym]) }
-
 // rootBits is the width of the decoder's one-step lookup table: every code
 // of length <= rootBits decodes with a single peek + table index. 2^11
 // entries x 4 bytes = 8 KiB per table, built once per NewDecoder; codes

@@ -89,9 +89,6 @@ type Codec struct {
 // NewCodec wraps p.
 func NewCodec(p Pipeline) *Codec { return &Codec{pipe: p} }
 
-// Pipeline returns the wrapped pipeline.
-func (c *Codec) Pipeline() Pipeline { return c.pipe }
-
 // Name implements compress.Codec.
 func (c *Codec) Name() string { return "lc" }
 

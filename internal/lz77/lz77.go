@@ -23,28 +23,25 @@ type Matcher struct {
 	src    []byte
 	window int // maximum match distance
 	depth  int // maximum chain positions examined per query
-	head   []int32
-	prev   []int32
+	// head and prev hold positions plus one, so 0, the zero value that
+	// make gives, is the empty slot and the end of a chain.
+	head []int32
+	prev []int32
 }
 
 // NewMatcher prepares a matcher over src. window bounds match distances;
 // depth bounds the work per position (higher = better matches, slower).
+// A window or depth <= 0 selects 1<<16 or 16.
 func NewMatcher(src []byte, window, depth int) *Matcher {
-	if window <= 0 {
-		window = 1 << 16
-	}
-	if depth <= 0 {
-		depth = 16
-	}
-	m := &Matcher{head: make([]int32, hashSize)}
+	m := new(Matcher)
 	m.Reset(src, window, depth)
 	return m
 }
 
 // Reset re-targets the matcher at a new source buffer, reusing its hash
 // tables so steady-state callers (e.g. chunked compressors) allocate only
-// when src outgrows every earlier buffer. The same window/depth defaulting
-// as NewMatcher applies.
+// when src outgrows every earlier buffer. window and depth are as for
+// NewMatcher.
 func (m *Matcher) Reset(src []byte, window, depth int) {
 	if window <= 0 {
 		window = 1 << 16
@@ -55,9 +52,8 @@ func (m *Matcher) Reset(src []byte, window, depth int) {
 	m.src, m.window, m.depth = src, window, depth
 	if m.head == nil {
 		m.head = make([]int32, hashSize)
-	}
-	for i := range m.head {
-		m.head[i] = -1
+	} else {
+		clear(m.head)
 	}
 	if cap(m.prev) < len(src) {
 		m.prev = make([]int32, len(src))
@@ -83,7 +79,7 @@ func (m *Matcher) Insert(pos int) {
 	}
 	h := hash4(m.load4(pos))
 	m.prev[pos] = m.head[h]
-	m.head[h] = int32(pos)
+	m.head[h] = int32(pos + 1)
 }
 
 // FindMatch returns the longest match for the data at pos against earlier
@@ -104,8 +100,8 @@ func (m *Matcher) FindMatch(pos, maxLen int) (dist, length int) {
 	limit := pos - m.window
 	src := m.src
 	best := MinMatch - 1
-	for tries := m.depth; cand >= 0 && int(cand) >= limit && tries > 0; tries-- {
-		c := int(cand)
+	for tries := m.depth; cand > 0 && int(cand) > limit && tries > 0; tries-- {
+		c := int(cand) - 1
 		if c >= pos {
 			// An entry inserted ahead of the query position is skipped,
 			// but the loop's tries-- still charges it to the depth.
@@ -158,8 +154,8 @@ func (m *Matcher) FindMatches(pos, maxLen int, dst []Match) []Match {
 	limit := pos - m.window
 	src := m.src
 	best := MinMatch - 1
-	for tries := m.depth; cand >= 0 && int(cand) >= limit && tries > 0; tries-- {
-		c := int(cand)
+	for tries := m.depth; cand > 0 && int(cand) > limit && tries > 0; tries-- {
+		c := int(cand) - 1
 		if c >= pos {
 			cand = m.prev[c]
 			continue

@@ -116,12 +116,6 @@ func rle1Run(src []byte) int {
 	return run
 }
 
-// UnRLE1 inverts RLE1 with no output bound; use UnRLE1Limit on untrusted
-// input.
-func UnRLE1(src []byte) ([]byte, error) {
-	return UnRLE1Limit(src, 0)
-}
-
 // UnRLE1Limit inverts RLE1, failing with compress.ErrLimitExceeded once the
 // output would exceed maxOut bytes (maxOut <= 0 means unbounded). The bound
 // is enforced before each run is materialized, so a hostile stream cannot
@@ -194,18 +188,15 @@ func EncodeZeroRuns(src []byte) []uint16 {
 	return out
 }
 
-// DecodeZeroRuns inverts EncodeZeroRuns with no output bound; use
-// DecodeZeroRunsLimit on untrusted input.
-func DecodeZeroRuns(src []uint16) ([]byte, error) {
-	return DecodeZeroRunsLimit(src, 0)
-}
-
 // DecodeRunsMTFLimit inverts EncodeZeroRuns composed with Encode in a single
 // pass: a RUNA/RUNB zero run decodes to repeats of the current front of the
 // MTF table, which leaves the table untouched, so the zero bytes of the
 // intermediate MTF stream are bulk-filled without ever being re-scanned.
 // Post-BWT data is mostly runs, making this the fast path of the bzip2-class
-// block decoder. maxOut bounds the output as in DecodeZeroRunsLimit.
+// block decoder. It fails with compress.ErrLimitExceeded once the output
+// would exceed maxOut bytes (maxOut <= 0 means unbounded). A handful of
+// RUNA/RUNB symbols can encode a multi-gigabyte zero run, so the bound is
+// checked before the run is materialized.
 func DecodeRunsMTFLimit(src []uint16, maxOut int) ([]byte, error) {
 	// A flat 256-byte table with memmove promotion was measured 2x faster
 	// here than bzip2's two-level 16x16 sliding-base scheme: a <=255-byte
@@ -306,38 +297,4 @@ func appendRepeat(out []byte, b byte, count int) []byte {
 		n += copy(out[n:], out[fs:n])
 	}
 	return out
-}
-
-// DecodeZeroRunsLimit inverts EncodeZeroRuns, failing with
-// compress.ErrLimitExceeded once the output would exceed maxOut bytes
-// (maxOut <= 0 means unbounded). A handful of RUNA/RUNB symbols can encode a
-// multi-gigabyte zero run, so the bound is checked before the run is
-// materialized.
-func DecodeZeroRunsLimit(src []uint16, maxOut int) ([]byte, error) {
-	out := make([]byte, 0, len(src))
-	i := 0
-	for i < len(src) {
-		s := src[i]
-		if s > 1 {
-			if s > 256 {
-				return nil, compress.Errorf(compress.ErrCorrupt, "mtf: symbol %d out of range", s)
-			}
-			if maxOut > 0 && len(out) >= maxOut {
-				return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: zero-run output exceeds %d bytes", maxOut)
-			}
-			out = append(out, byte(s-1))
-			i++
-			continue
-		}
-		run, ni, err := zeroRunLen(src, i)
-		if err != nil {
-			return nil, err
-		}
-		i = ni
-		if maxOut > 0 && len(out)+run > maxOut {
-			return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: zero-run output exceeds %d bytes", maxOut)
-		}
-		out = appendRepeat(out, 0, run)
-	}
-	return out, nil
 }

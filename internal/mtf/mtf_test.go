@@ -64,7 +64,7 @@ func TestRLE1Roundtrip(t *testing.T) {
 		if n := RLE1Len(c); n != len(enc) {
 			t.Fatalf("case len %d: RLE1Len %d, RLE1 wrote %d", len(c), n, len(enc))
 		}
-		back, err := UnRLE1(enc)
+		back, err := UnRLE1Limit(enc, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
@@ -76,7 +76,7 @@ func TestRLE1Roundtrip(t *testing.T) {
 
 func TestRLE1Quick(t *testing.T) {
 	f := func(s []byte) bool {
-		back, err := UnRLE1(RLE1(s))
+		back, err := UnRLE1Limit(RLE1(s), 0)
 		return err == nil && bytes.Equal(back, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -143,16 +143,48 @@ func TestRLE1RunHeavy(t *testing.T) {
 	if n := RLE1Len(s); n != len(enc) {
 		t.Fatalf("RLE1Len %d, RLE1 wrote %d", n, len(enc))
 	}
-	back, err := UnRLE1(enc)
+	back, err := UnRLE1Limit(enc, 0)
 	if err != nil || !bytes.Equal(back, s) {
 		t.Fatal("roundtrip failed")
 	}
 }
 
 func TestUnRLE1Truncated(t *testing.T) {
-	if _, err := UnRLE1([]byte{5, 5, 5, 5}); err == nil {
+	if _, err := UnRLE1Limit([]byte{5, 5, 5, 5}, 0); err == nil {
 		t.Fatal("truncated run accepted")
 	}
+}
+
+// decodeZeroRunsLimit inverts EncodeZeroRuns alone, with DecodeRunsMTFLimit's
+// output bound and error classes. Composed with Decode it is the unfused
+// pair that DecodeRunsMTFLimit replaces, and the oracle for it.
+func decodeZeroRunsLimit(src []uint16, maxOut int) ([]byte, error) {
+	out := make([]byte, 0, len(src))
+	i := 0
+	for i < len(src) {
+		s := src[i]
+		if s > 1 {
+			if s > 256 {
+				return nil, compress.Errorf(compress.ErrCorrupt, "mtf: symbol %d out of range", s)
+			}
+			if maxOut > 0 && len(out) >= maxOut {
+				return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: zero-run output exceeds %d bytes", maxOut)
+			}
+			out = append(out, byte(s-1))
+			i++
+			continue
+		}
+		run, ni, err := zeroRunLen(src, i)
+		if err != nil {
+			return nil, err
+		}
+		i = ni
+		if maxOut > 0 && len(out)+run > maxOut {
+			return nil, compress.Errorf(compress.ErrLimitExceeded, "mtf: zero-run output exceeds %d bytes", maxOut)
+		}
+		out = appendRepeat(out, 0, run)
+	}
+	return out, nil
 }
 
 func TestZeroRunsKnown(t *testing.T) {
@@ -167,7 +199,7 @@ func TestZeroRunsKnown(t *testing.T) {
 			t.Fatalf("got %v want %v", got, want)
 		}
 	}
-	back, err := DecodeZeroRuns(got)
+	back, err := decodeZeroRunsLimit(got, 0)
 	if err != nil || !bytes.Equal(back, []byte{0, 0, 0, 5}) {
 		t.Fatalf("decode %v %v", back, err)
 	}
@@ -178,7 +210,7 @@ func TestZeroRunsLengths(t *testing.T) {
 		src := make([]byte, run, run+1)
 		src = append(src, 9)
 		enc := EncodeZeroRuns(src)
-		back, err := DecodeZeroRuns(enc)
+		back, err := decodeZeroRunsLimit(enc, 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -190,7 +222,7 @@ func TestZeroRunsLengths(t *testing.T) {
 
 func TestZeroRunsQuick(t *testing.T) {
 	f := func(s []byte) bool {
-		back, err := DecodeZeroRuns(EncodeZeroRuns(s))
+		back, err := decodeZeroRunsLimit(EncodeZeroRuns(s), 0)
 		return err == nil && bytes.Equal(back, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -199,7 +231,7 @@ func TestZeroRunsQuick(t *testing.T) {
 }
 
 func TestZeroRunsBadSymbol(t *testing.T) {
-	if _, err := DecodeZeroRuns([]uint16{300}); err == nil {
+	if _, err := decodeZeroRunsLimit([]uint16{300}, 0); err == nil {
 		t.Fatal("symbol out of range accepted")
 	}
 }
@@ -210,7 +242,7 @@ func TestZeroRunsOverflowGuard(t *testing.T) {
 	for i := range bad {
 		bad[i] = RunB
 	}
-	if _, err := DecodeZeroRuns(bad); err == nil {
+	if _, err := decodeZeroRunsLimit(bad, 0); err == nil {
 		t.Fatal("overflowing run accepted")
 	}
 }
@@ -245,11 +277,11 @@ func TestDecodeZeroRunsLimit(t *testing.T) {
 	for i := range syms {
 		syms[i] = RunB
 	}
-	if _, err := DecodeZeroRunsLimit(syms, 1<<16); !errors.Is(err, compress.ErrLimitExceeded) {
+	if _, err := decodeZeroRunsLimit(syms, 1<<16); !errors.Is(err, compress.ErrLimitExceeded) {
 		t.Fatalf("want ErrLimitExceeded, got %v", err)
 	}
 	enc := EncodeZeroRuns(make([]byte, 1000))
-	out, err := DecodeZeroRunsLimit(enc, 1000)
+	out, err := decodeZeroRunsLimit(enc, 1000)
 	if err != nil || len(out) != 1000 {
 		t.Fatalf("in-bounds decode: %d bytes, %v", len(out), err)
 	}
@@ -309,6 +341,76 @@ func TestEncodeMatchesByteLoop(t *testing.T) {
 	for i, src := range inputs {
 		if got, want := Encode(src), encodeByteLoop(src); !bytes.Equal(got, want) {
 			t.Fatalf("input %d (%d bytes): Encode differs from the byte loop", i, len(src))
+		}
+	}
+}
+
+// errClass names the compress error classes an mtf decoder can return.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, compress.ErrLimitExceeded):
+		return "limit"
+	case errors.Is(err, compress.ErrTruncated):
+		return "truncated"
+	case errors.Is(err, compress.ErrCorrupt):
+		return "corrupt"
+	}
+	return "other: " + err.Error()
+}
+
+// TestDecodeRunsMTFMatchesUnfused: the fused decoder equals Decode after
+// decodeZeroRunsLimit, output and error class alike, on random and
+// zero-heavy symbol streams, on the ranks either side of its register-loop
+// cut (symbols 16 and 17), on out-of-range symbols and RUNA/RUNB overflow,
+// each at maxOut 0, at the exact output length and one below it.
+func TestDecodeRunsMTFMatchesUnfused(t *testing.T) {
+	const seed = 20261018
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	var streams [][]uint16
+	for _, n := range []int{0, 1, 2, 17, 300, 5000} {
+		random := make([]uint16, n)
+		for i := range random {
+			random[i] = uint16(rng.Intn(257))
+		}
+		zeroHeavy := make([]byte, n)
+		for i := range zeroHeavy {
+			if rng.Intn(8) == 0 {
+				zeroHeavy[i] = byte(rng.Intn(256))
+			}
+		}
+		streams = append(streams, random, EncodeZeroRuns(Encode(zeroHeavy)))
+	}
+	cut := []uint16{16, 17, 16, 17, 17, 16, RunA, 17, RunB, 16, 2, 17, 256}
+	for i := 0; i < 200; i++ {
+		cut = append(cut, cut[rng.Intn(len(cut))])
+	}
+	overflow := make([]uint16, 64)
+	for i := range overflow {
+		overflow[i] = RunB
+	}
+	streams = append(streams, cut,
+		[]uint16{5, RunA, 257},          // above 256 after output
+		[]uint16{RunB, RunA, 0xFFFF, 3}, // far above 256 after a run
+		append([]uint16{7, RunA}, overflow...),
+	)
+	for i, src := range streams {
+		// The unbounded unfused decode gives the exact output length.
+		n := 0
+		if z, err := decodeZeroRunsLimit(src, 0); err == nil {
+			n = len(z)
+		}
+		for _, maxOut := range []int{0, n, n - 1} {
+			got, gotErr := DecodeRunsMTFLimit(src, maxOut)
+			z, wantErr := decodeZeroRunsLimit(src, maxOut)
+			if g, w := errClass(gotErr), errClass(wantErr); g != w {
+				t.Fatalf("stream %d, maxOut %d: fused error %q, unfused %q", i, maxOut, g, w)
+			}
+			if wantErr == nil && !bytes.Equal(got, Decode(z)) {
+				t.Fatalf("stream %d, maxOut %d: fused output differs from Decode(decodeZeroRunsLimit)", i, maxOut)
+			}
 		}
 	}
 }

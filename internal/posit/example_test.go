@@ -13,36 +13,9 @@ func ExampleConfig_FromFloat64() {
 	// Output: 0x42000000 -> 1.5
 }
 
-func ExampleConfig_Add() {
-	cfg := posit.Posit32e3
-	a := cfg.FromFloat64(0.1) // rounded: 0.1 is not a binary fraction
-	b := cfg.FromFloat64(0.2)
-	fmt.Printf("%.9f\n", cfg.ToFloat64(cfg.Add(a, b)))
-	// Output: 0.299999997
-}
-
-func ExampleQuire() {
-	cfg := posit.Posit32e3
-	q := posit.NewQuire(cfg)
-	big := cfg.FromFloat64(1e10)
-	q.AddProduct(big, big) // 1e20: far beyond posit32 precision
-	q.Add(cfg.FromFloat64(1))
-	q.SubProduct(big, big) // exact cancellation inside the quire
-	fmt.Println(cfg.ToFloat64(q.Posit()))
-	// Output: 1
-}
-
 func ExampleConfig_RoundtripStats() {
 	cfg := posit.Posit32e3
 	stats := cfg.RoundtripStats([]float32{1, 2.5, -0.125})
 	fmt.Printf("%.0f%% exact\n", stats.PrecisePct())
 	// Output: 100% exact
-}
-
-func ExampleP32e3() {
-	a := posit.FromFloat64P32e3(3)
-	b := posit.FromFloat64P32e3(4)
-	hyp := a.Mul(a).Add(b.Mul(b)).Sqrt()
-	fmt.Println(hyp)
-	// Output: 5
 }

@@ -23,12 +23,23 @@ func gridConfigs() []Config {
 	return cs
 }
 
+// ldexpRand returns a random value with magnitude in [2^lo, 2^hi) and
+// random sign.
+func ldexpRand(rng *rand.Rand, lo, hi int) float64 {
+	v := (1 + rng.Float64()) * float64(int64(1)<<uint(rng.Intn(hi-lo)))
+	v /= float64(int64(1) << uint(-lo))
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
 // checkPatternRoundtrip asserts the two identities on one bit pattern:
 // Encode(Decode(p)) == p and FromFloat64(ToFloat64(p)) == p.
 func checkPatternRoundtrip(t *testing.T, c Config, p uint64) {
 	t.Helper()
 	if pt, sp := c.Decode(p); sp == Finite {
-		if got := c.Encode(pt, false); got != p {
+		if got := c.Encode(pt); got != p {
 			t.Fatalf("%v: Encode(Decode(%#x)) = %#x", c, p, got)
 		}
 	}

@@ -10,8 +10,8 @@
 // The package provides exact IEEE-754 <-> posit conversion with
 // round-to-nearest-even (ties to even bit pattern, saturating at
 // maxpos/minpos, never rounding a nonzero value to zero or to NaR),
-// field-level decode/encode, correctly rounded arithmetic, and batch
-// conversion helpers used by the compressibility study.
+// field-level decode/encode, and batch conversion helpers used by the
+// compressibility study.
 package posit
 
 import (
@@ -60,9 +60,6 @@ func (c Config) mask() uint64 {
 
 // NaR returns the Not-a-Real bit pattern (sign bit set, all others clear).
 func (c Config) NaR() uint64 { return uint64(1) << (c.N - 1) }
-
-// Zero returns the zero bit pattern.
-func (c Config) Zero() uint64 { return 0 }
 
 // MaxPos returns the largest-magnitude positive posit (0 followed by ones).
 func (c Config) MaxPos() uint64 { return c.NaR() - 1 }
@@ -201,12 +198,7 @@ func (c Config) Decode(p uint64) (Parts, Special) {
 
 // Encode rounds a sign/scale/fraction triple to the nearest posit
 // (round-to-nearest, ties to even bit pattern, saturating).
-//
-// sticky indicates that nonzero value bits exist below Frac's LSB. When
-// sticky is set, FracBits must be at least n so that the rounding position
-// falls inside the explicit fraction; the arithmetic and conversion routines
-// in this package always satisfy that.
-func (c Config) Encode(pt Parts, sticky bool) uint64 {
+func (c Config) Encode(pt Parts) uint64 {
 	if pt.Frac == 0 {
 		return 0
 	}
@@ -239,8 +231,9 @@ func (c Config) Encode(pt Parts, sticky bool) uint64 {
 	// Keep the assembled pattern within 128 bits; dropped fraction bits
 	// fold into sticky. This only triggers for extreme regimes on wide
 	// posits, far below the rounding position.
+	var sticky bool
 	if over := int(regimeLen+es+fb) - 127; over > 0 {
-		sticky = sticky || fracField&((1<<uint(over))-1) != 0
+		sticky = fracField&((1<<uint(over))-1) != 0
 		fracField >>= uint(over)
 		fb -= uint(over)
 	}
@@ -252,9 +245,7 @@ func (c Config) Encode(pt Parts, sticky bool) uint64 {
 
 	var pat uint64
 	if L <= n-1 {
-		pat = lo << (n - 1 - L)
-		// sticky below an exact-width pattern cannot occur per the
-		// documented precondition; truncation is then exact.
+		pat = lo << (n - 1 - L) // the whole pattern fits: exact
 	} else {
 		cut := L - (n - 1)
 		pat = extract128(hi, lo, cut, n-1)
@@ -376,14 +367,14 @@ func (c Config) FromFloat64(f float64) uint64 {
 			Scale:    -1022 - lz, // == t - 1074 where t is the top set bit of the raw mantissa
 			Frac:     mant,
 			FracBits: 52,
-		}, false)
+		})
 	default:
 		return c.Encode(Parts{
 			Neg:      neg,
 			Scale:    exp - 1023,
 			Frac:     mant | 1<<52,
 			FracBits: 52,
-		}, false)
+		})
 	}
 }
 

@@ -90,7 +90,7 @@ func TestExhaustiveRoundtrip16(t *testing.T) {
 			if sp != Finite {
 				continue
 			}
-			back := c.Encode(pt, false)
+			back := c.Encode(pt)
 			if back != p {
 				t.Fatalf("%v: decode/encode %#x -> %+v -> %#x", c, p, pt, back)
 			}
@@ -161,11 +161,91 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// ratOf returns the exact rational value of a finite posit.
+func ratOf(c Config, p uint64) *big.Rat {
+	pt, sp := c.Decode(p)
+	if sp != Finite {
+		if sp == IsZero {
+			return new(big.Rat)
+		}
+		panic("ratOf: NaR")
+	}
+	num, den := new(big.Int).SetUint64(pt.Frac), big.NewInt(1)
+	if e := pt.Scale - int(pt.FracBits); e >= 0 {
+		num.Lsh(num, uint(e))
+	} else {
+		den.Lsh(den, uint(-e))
+	}
+	if pt.Neg {
+		num.Neg(num)
+	}
+	return new(big.Rat).SetFrac(num, den)
+}
+
+// nearestPosit finds the correctly rounded posit for an exact rational,
+// independently of the implementation under test. Posit rounding (per the
+// standard and softposit/cppposit) is round-to-nearest-even in *encoding*
+// space: truncate the unbounded encoding at n bits; the rounding boundary
+// between consecutive n-bit patterns p and p+1 is the value of the
+// (n+1)-bit posit whose pattern is p<<1|1 (the truncation plus a guard 1).
+// Ties go to the even pattern; results saturate at maxpos/minpos and a
+// nonzero value never rounds to zero.
+func nearestPosit(c Config, x *big.Rat) uint64 {
+	if x.Sign() == 0 {
+		return 0
+	}
+	neg := x.Sign() < 0
+	ax := new(big.Rat).Abs(x)
+	finish := func(p uint64) uint64 {
+		if neg {
+			return c.Neg(p)
+		}
+		return p
+	}
+	// Find the floor pattern: largest positive pattern with value <= ax.
+	// The implementation's answer is only the starting point of the walk.
+	f, _ := ax.Float64()
+	p := c.Abs(c.FromFloat64(f))
+	if c.IsNaR(p) || c.IsZero(p) {
+		p = c.MinPos()
+	}
+	for p > c.MinPos() && ratOf(c, p).Cmp(ax) > 0 {
+		p--
+	}
+	for p < c.MaxPos() && ratOf(c, p+1).Cmp(ax) <= 0 {
+		p++
+	}
+	if ratOf(c, p).Cmp(ax) == 0 {
+		return finish(p)
+	}
+	if ratOf(c, c.MinPos()).Cmp(ax) > 0 {
+		return finish(c.MinPos()) // below minpos: never round to zero
+	}
+	if p == c.MaxPos() {
+		return finish(p) // above maxpos: saturate
+	}
+	ext := Config{c.N + 1, c.ES}
+	boundary := ratOf(ext, p<<1|1)
+	switch ax.Cmp(boundary) {
+	case -1:
+		return finish(p)
+	case 1:
+		return finish(p + 1)
+	default: // tie: even pattern
+		if p&1 == 0 {
+			return finish(p)
+		}
+		return finish(p + 1)
+	}
+}
+
 // Conversion must be correctly rounded under the standard's encoding-space
-// round-to-nearest-even rule, verified against the exact-rational oracle in
-// arith_test.go. In the linear region (results with a nonzero fraction
+// round-to-nearest-even rule, verified against the exact-rational oracle
+// nearestPosit. In the linear region (results with a nonzero fraction
 // field) this coincides with value-space nearest; in the regime-tapered
-// region the boundary is geometric.
+// region the boundary is geometric. The paper's formats, posit<32,3> and
+// posit<32,2>, are checked through FromFloat32 on every float32 binade and
+// on exact ties.
 func TestConversionNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []Config{{16, 1}, Posit16, {16, 3}, {8, 2}} {
@@ -184,6 +264,93 @@ func TestConversionNearest(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range []Config{Posit32e3, Posit32} {
+		t.Run(c.String(), func(t *testing.T) {
+			seed := int64(32 + c.ES)
+			t.Logf("seed %d", seed)
+			rng := rand.New(rand.NewSource(seed))
+			checkNearest32(t, c, rng)
+			checkTies32(t, c, rng)
+		})
+	}
+}
+
+// checkNearest32 converts a few random float32 mantissas from every binade,
+// 2^-149 (the smallest subnormal) to 2^127, in both signs.
+func checkNearest32(t *testing.T, c Config, rng *rand.Rand) {
+	t.Helper()
+	cases, rounded := 0, 0
+	for e := -149; e <= 127; e++ {
+		for trial := 0; trial < 8; trial++ {
+			var bits uint32
+			if e < -126 { // subnormal: top mantissa bit at position e+149
+				top := uint32(1) << uint(e+149)
+				bits = top | rng.Uint32()&(top-1)
+			} else {
+				bits = uint32(e+127)<<23 | rng.Uint32()&(1<<23-1)
+			}
+			for _, sign := range []uint32{0, 1 << 31} {
+				f := math.Float32frombits(bits | sign)
+				p := c.FromFloat32(f)
+				r := new(big.Rat).SetFloat64(float64(f))
+				if want := nearestPosit(c, r); p != want {
+					t.Fatalf("%v: FromFloat32(%g) = %#x, want %#x", c, f, p, want)
+				}
+				cases++
+				if ratOf(c, p).Cmp(r) != 0 {
+					rounded++
+				}
+			}
+		}
+	}
+	t.Logf("%v: %d float32 values, %d rounded, all nearest", c, cases, rounded)
+}
+
+// checkTies32 converts values that lie exactly halfway between two
+// consecutive patterns p and p+1: the (n+1)-bit posit p<<1|1, wherever
+// float32 represents it. In the long-regime region few fraction bits
+// remain, so such boundaries are float32 values. Each must round to the
+// even pattern, in both signs.
+func checkTies32(t *testing.T, c Config, rng *rand.Rand) {
+	t.Helper()
+	ext := Config{c.N + 1, c.ES}
+	ties := 0
+	for trial := 0; trial < 4000; trial++ {
+		// A positive pattern whose regime is a run of m equal bits.
+		m := uint(rng.Intn(int(c.N)-2)) + 1
+		rest := c.N - 2 - m
+		var p uint64
+		if rng.Intn(2) == 0 {
+			p = (uint64(1)<<m - 1) << (rest + 1) // m ones, then a zero
+		} else {
+			p = uint64(1) << rest // m zeros, then a one
+		}
+		p |= rng.Uint64() & (uint64(1)<<rest - 1)
+		if p >= c.MaxPos() {
+			continue
+		}
+		b := ratOf(ext, p<<1|1)
+		f64, exact := b.Float64()
+		f := float32(f64)
+		if !exact || float64(f) != f64 {
+			continue
+		}
+		even := p + p&1
+		if got := c.FromFloat32(f); got != even {
+			t.Fatalf("%v: tie FromFloat32(%g) between %#x and %#x = %#x, want %#x", c, f, p, p+1, got, even)
+		}
+		if got := c.FromFloat32(-f); got != c.Neg(even) {
+			t.Fatalf("%v: tie FromFloat32(%g) = %#x, want %#x", c, -f, got, c.Neg(even))
+		}
+		if want := nearestPosit(c, b); want != even {
+			t.Fatalf("%v: oracle rounds tie %v to %#x, want %#x", c, b, want, even)
+		}
+		ties++
+	}
+	if ties < 500 {
+		t.Fatalf("%v: only %d float32-representable ties", c, ties)
+	}
+	t.Logf("%v: %d exact ties, all to the even pattern", c, ties)
 }
 
 func TestSaturation(t *testing.T) {
@@ -251,7 +418,7 @@ func TestDecodeEncodeQuick(t *testing.T) {
 			if sp != Finite {
 				return true
 			}
-			return c.Encode(pt, false) == p
+			return c.Encode(pt) == p
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 			t.Errorf("%v: %v", c, err)
@@ -303,5 +470,20 @@ func TestMaxScaleAndBounds(t *testing.T) {
 	c2 := Posit32
 	if c2.MaxScale() != 120 {
 		t.Fatalf("es=2 MaxScale = %d, want 120", c2.MaxScale())
+	}
+}
+
+// Negation is an exact involution.
+func TestNegationAlgebra(t *testing.T) {
+	c := Posit32e3
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 10000; trial++ {
+		a := uint64(rng.Uint32())
+		if c.IsNaR(a) {
+			continue
+		}
+		if c.Neg(c.Neg(a)) != a&c.mask() {
+			t.Fatalf("neg not involutive for %#x", a)
+		}
 	}
 }

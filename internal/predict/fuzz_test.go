@@ -2,6 +2,7 @@ package predict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func fuzzSeedBytes(i, n int) []byte {
 	vals := sdrbench.Inputs()[i].Generate(n)
 	out := make([]byte, 0, 4*len(vals))
 	for _, v := range vals {
-		out = bitio.PutU32(out, math.Float32bits(v))
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	return out
 }

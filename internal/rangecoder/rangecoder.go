@@ -170,9 +170,6 @@ func (e *Encoder) Finish() []byte {
 	return e.out
 }
 
-// Len reports the number of bytes emitted so far (excluding pending cache).
-func (e *Encoder) Len() int { return len(e.out) }
-
 // Decoder reads a stream produced by Encoder.
 type Decoder struct {
 	code uint32

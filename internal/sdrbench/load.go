@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"positbench/internal/posit"
 )
@@ -62,20 +61,6 @@ func Parse(data []byte) ([]float32, error) {
 	floats, err := posit.DecodeFloat32LE(data)
 	if err != nil {
 		return nil, err // unreachable given the alignment check, but honest
-	}
-	return floats, nil
-}
-
-// LoadFile loads one .f32 file from disk.
-func LoadFile(path string) ([]float32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	floats, err := Load(f, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return floats, nil
 }

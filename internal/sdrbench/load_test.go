@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"positbench/internal/posit"
@@ -32,14 +30,6 @@ func TestLoadEmptyInput(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil), 0); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("empty stream: %v, want ErrEmptyInput", err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.f32")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrEmptyInput) {
-		t.Fatalf("empty file: %v, want ErrEmptyInput", err)
-	}
 }
 
 func TestLoadOddByteLength(t *testing.T) {
@@ -54,20 +44,12 @@ func TestLoadOddByteLength(t *testing.T) {
 func TestLoadTruncatedFile(t *testing.T) {
 	// A real stream cut mid-value: 10 floats minus 2 bytes.
 	full := posit.EncodeFloat32LE(Inputs()[1].Generate(10))
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trunc.f32")
-	if err := os.WriteFile(path, full[:len(full)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrMisaligned) {
+	if _, err := Load(bytes.NewReader(full[:len(full)-2]), 0); !errors.Is(err, ErrMisaligned) {
 		t.Fatalf("truncated file: %v, want ErrMisaligned", err)
 	}
 	// Truncation at a value boundary is undetectable from length alone and
 	// must load the remaining whole values.
-	if err := os.WriteFile(path, full[:len(full)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
+	got, err := Load(bytes.NewReader(full[:len(full)-4]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +69,5 @@ func TestLoadSizeLimit(t *testing.T) {
 	}
 	if len(got) != 100 {
 		t.Fatalf("loaded %d values", len(got))
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.f32")); err == nil {
-		t.Fatal("missing file must error")
 	}
 }

@@ -64,14 +64,6 @@ type storedObject struct {
 	index *container.Index // non-nil only for indexed (v2) streams
 }
 
-// rawLen returns the decoded size when the index declares it, else -1.
-func (o *storedObject) rawLen() int64 {
-	if o.index != nil {
-		return o.index.RawLen
-	}
-	return -1
-}
-
 // objectStore is the bounded in-memory object tier. Overwrites of an
 // existing key are allowed and re-accounted; past the byte budget a PUT
 // is refused with 507 rather than evicting — objects are explicit state,

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -24,18 +23,6 @@ func GeoMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // PctDelta returns the percentage change from base to v: +2.0 means v is 2%
@@ -122,14 +109,4 @@ func Bar(label string, value, maxValue float64, width int) string {
 		n = width
 	}
 	return fmt.Sprintf("%-8s |%-*s| %.3f", label, width, strings.Repeat("#", n), value)
-}
-
-// SortedKeys returns map keys in sorted order for deterministic iteration.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -117,18 +117,6 @@ func (s *Span) SetBytes(in, out int64) {
 	s.mu.Unlock()
 }
 
-// AddBytes accumulates into the span's byte counts (used by spans that see
-// their data incrementally).
-func (s *Span) AddBytes(in, out int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.bytesIn += in
-	s.bytesOut += out
-	s.mu.Unlock()
-}
-
 // Annotate attaches a key=value attribute.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {

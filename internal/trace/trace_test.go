@@ -21,7 +21,6 @@ func TestNilSpanIsSafe(t *testing.T) {
 	}
 	sp.AddStage("y", time.Millisecond, 1, 2)
 	sp.SetBytes(1, 2)
-	sp.AddBytes(3, 4)
 	sp.Annotate("k", "v")
 	sp.End()
 }
@@ -128,7 +127,7 @@ func TestConcurrentChildrenAndPublish(t *testing.T) {
 					go func() {
 						defer cwg.Done()
 						c := root.Child("chunk")
-						c.AddBytes(10, 1)
+						c.SetBytes(10, 1)
 						c.AddStage("stage", time.Microsecond, 0, 0)
 						c.End()
 					}()
