@@ -20,6 +20,10 @@
 #   make bench-smoke tiny-input benchmark pass under -race: catches data
 #                    races and crashes on the hot paths without waiting for
 #                    real measurements
+#   make test-exhaustive
+#                    all 2^32 posit<32,3> patterns through the decode32
+#                    kernel against the scalar reference (build tag
+#                    exhaustive; minutes, so not part of check)
 #   make ci          everything above, in order
 #
 # Speed claims are measured by the perfbench module (`bash perfbench/run.sh`,
@@ -28,7 +32,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race race-twice e2e bench-smoke fuzz-smoke ci
+.PHONY: all check vet build test race race-twice e2e bench-smoke fuzz-smoke test-exhaustive ci
 
 all: check
 
@@ -105,4 +109,9 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: check race race-twice e2e bench-smoke fuzz-smoke
+# Every posit<32,3> pattern, sharded over GOMAXPROCS: about two minutes on
+# two cores. -v prints the sweep's agreement count and wall time.
+test-exhaustive:
+	$(GO) test -tags exhaustive -run '^TestDecode32Exhaustive$$' -count=1 -timeout 30m -v ./internal/posit
+
+ci: check race race-twice e2e bench-smoke fuzz-smoke test-exhaustive

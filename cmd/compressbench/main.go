@@ -18,6 +18,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -314,7 +315,7 @@ func runStream(zsName string, dsFlag bool, chunkSize int, maxOut int64, files []
 			return err
 		}
 		b := container.NewIndexBuilder()
-		w := compress.NewWriter(c, f, chunkSize)
+		w := compress.NewWriter(context.Background(), c, f, chunkSize, 1)
 		w.SetIndexSink(b)
 		if _, err := w.Write(data); err != nil {
 			f.Close()
@@ -345,7 +346,7 @@ func runStream(zsName string, dsFlag bool, chunkSize int, maxOut int64, files []
 	if err != nil {
 		return fmt.Errorf("%s: stream names codec %q: %w", files[0], name, err)
 	}
-	r := compress.NewReaderLimits(c, bytes.NewReader(data), compress.DecodeLimits{MaxOutputBytes: maxOut})
+	r := compress.NewReader(context.Background(), c, bytes.NewReader(data), compress.DecodeLimits{MaxOutputBytes: maxOut}, 1)
 	out, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("%s: %w", files[0], err)

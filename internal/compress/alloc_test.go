@@ -2,8 +2,8 @@ package compress_test
 
 // Allocation-regression tests for the streaming engine's buffer pooling:
 // once the pools are warm, compressing or decompressing a chunk through the
-// parallel engine must not allocate for codecs that implement the Append
-// capabilities (gzip, lz4, and fpc32). A regression here silently reintroduces
+// engine, inline or on the pool, must not allocate for codecs that
+// implement the Append capabilities (gzip, lz4, and fpc32). A regression here silently reintroduces
 // per-chunk garbage at multi-GB/s rates.
 //
 // GC is disabled before the pools are warmed: a collection would clear the
@@ -11,6 +11,7 @@ package compress_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -71,7 +72,7 @@ func allocCases() map[string]allocCase {
 }
 
 // allocEngines are the engine configurations every gate runs: one worker,
-// which the serial fallback serves, and two workers on two Ps, which run
+// which runs each chunk inline, and two workers on two Ps, which run
 // the pool path the serving layer takes on a multi-core host.
 var allocEngines = []struct {
 	name           string
@@ -129,7 +130,7 @@ func TestParallelWriterChunkAllocs(t *testing.T) {
 				t.Run(eng.name, func(t *testing.T) {
 					procs(t, eng.procs)
 					noGC(t)
-					w := compress.NewParallelWriter(tc.codec, io.Discard, allocChunk, eng.workers)
+					w := compress.NewWriter(context.Background(), tc.codec, io.Discard, allocChunk, eng.workers)
 					defer w.Close()
 					// Warm the job pool, the codec's encoder pool, and every
 					// buffer to its steady-state capacity.
@@ -158,7 +159,7 @@ func TestParallelReaderChunkAllocs(t *testing.T) {
 	for name, tc := range allocCases() {
 		t.Run(name, func(t *testing.T) {
 			var stream bytes.Buffer
-			w := compress.NewParallelWriter(tc.codec, &stream, allocChunk, 1)
+			w := compress.NewWriter(context.Background(), tc.codec, &stream, allocChunk, 1)
 			for i := 0; i < chunks; i++ {
 				if _, err := w.Write(src); err != nil {
 					t.Fatal(err)
@@ -171,7 +172,7 @@ func TestParallelReaderChunkAllocs(t *testing.T) {
 				t.Run(eng.name, func(t *testing.T) {
 					procs(t, eng.procs)
 					noGC(t)
-					r := compress.NewParallelReader(tc.codec, bytes.NewReader(stream.Bytes()), eng.workers)
+					r := compress.NewReader(context.Background(), tc.codec, bytes.NewReader(stream.Bytes()), compress.DecodeLimits{}, eng.workers)
 					defer r.Close()
 					buf := make([]byte, allocChunk)
 					readChunk := func() {

@@ -2,6 +2,7 @@ package compress_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -14,10 +15,10 @@ import (
 	"positbench/internal/compress/all"
 )
 
-// Serial-vs-parallel stream benchmarks over every registry codec, on a
-// synthetic float field cut into four chunks, so the parallel side always
-// has chunks to overlap. Run them by hand to compare serial and parallel
-// on one machine:
+// Stream benchmarks over every registry codec at one worker ("serial",
+// every chunk inline) and at four, on a synthetic float field cut into
+// four chunks, so the pool always has chunks to overlap. Run them by hand
+// to compare the two on one machine:
 //
 //	go test -run '^$' -bench '^BenchmarkStream' -cpu 1,2 ./internal/compress
 //
@@ -51,7 +52,7 @@ func BenchmarkStreamCompress(b *testing.B) {
 			var dst bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				dst.Reset()
-				w := compress.NewWriter(c, &dst, chunk)
+				w := compress.NewWriter(context.Background(), c, &dst, chunk, 1)
 				if _, err := w.Write(data); err != nil {
 					b.Fatal(err)
 				}
@@ -65,7 +66,7 @@ func BenchmarkStreamCompress(b *testing.B) {
 			var dst bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				dst.Reset()
-				w := compress.NewParallelWriter(c, &dst, chunk, benchWorkers)
+				w := compress.NewWriter(context.Background(), c, &dst, chunk, benchWorkers)
 				if _, err := w.Write(data); err != nil {
 					b.Fatal(err)
 				}
@@ -84,7 +85,7 @@ func BenchmarkStreamDecompress(b *testing.B) {
 	for _, c := range all.Raw() {
 		c := c
 		var enc bytes.Buffer
-		w := compress.NewWriter(c, &enc, chunk)
+		w := compress.NewWriter(context.Background(), c, &enc, chunk, 1)
 		if _, err := w.Write(data); err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func BenchmarkStreamDecompress(b *testing.B) {
 		b.Run(c.Name()+"/serial", func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				r := compress.NewReader(c, bytes.NewReader(stream))
+				r := compress.NewReader(context.Background(), c, bytes.NewReader(stream), compress.DecodeLimits{}, 1)
 				if _, err := io.ReadFull(r, out); err != nil {
 					b.Fatal(err)
 				}
@@ -105,7 +106,7 @@ func BenchmarkStreamDecompress(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/parallel-w%d", c.Name(), benchWorkers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				r := compress.NewParallelReader(c, bytes.NewReader(stream), benchWorkers)
+				r := compress.NewReader(context.Background(), c, bytes.NewReader(stream), compress.DecodeLimits{}, benchWorkers)
 				if _, err := io.ReadFull(r, out); err != nil {
 					r.Close()
 					b.Fatal(err)

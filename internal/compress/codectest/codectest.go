@@ -5,6 +5,7 @@ package codectest
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -112,14 +113,14 @@ func Run(t *testing.T, c compress.Codec) {
 	t.Run("Streaming", func(t *testing.T) {
 		data := smoothFloatField(1 << 13)
 		var sink bytes.Buffer
-		w := compress.NewWriter(c, &sink, 1<<13) // several chunks
+		w := compress.NewWriter(context.Background(), c, &sink, 1<<13, 1) // several chunks
 		if _, err := w.Write(data); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		back, err := io.ReadAll(compress.NewReader(c, &sink))
+		back, err := io.ReadAll(compress.NewReader(context.Background(), c, &sink, compress.DecodeLimits{}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package codectest
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -17,11 +18,11 @@ import (
 // builds an indexed (v2) stream and asserts that
 //
 //   - the trailer is invisible to v1 readers (sequential decode unchanged)
-//     and identical whether the serial or parallel writer emitted it;
+//     and identical whether one worker or four emitted it;
 //   - every `[off,len)` window — off=0, len=0, chunk-boundary straddling,
 //     tail-straddling, whole-file, past-EOF, and a seeded random sample —
 //     decoded through RangeReader and through ReaderAt.ReadAt is
-//     byte-identical to the corresponding slice of the full serial decode;
+//     byte-identical to the corresponding slice of the full sequential decode;
 //   - a window only ever touches ceil(len/chunk)+1 chunks;
 //   - with a content-addressed cache attached, replayed windows hit the
 //     cache and still return exactly the same bytes;
@@ -36,7 +37,7 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 	lim := faultLimits(len(data))
 
 	t.Run("TrailerInvisibleToV1", func(t *testing.T) {
-		back, err := io.ReadAll(compress.NewReader(c, bytes.NewReader(stream)))
+		back, err := io.ReadAll(compress.NewReader(context.Background(), c, bytes.NewReader(stream), compress.DecodeLimits{}, 1))
 		if err != nil {
 			t.Fatalf("sequential decode of indexed stream: %v", err)
 		}
@@ -47,7 +48,7 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 	t.Run("ParallelWriterTrailer", func(t *testing.T) {
 		var sink bytes.Buffer
 		b := container.NewIndexBuilder()
-		w := compress.NewParallelWriter(c, &sink, chunk, 4)
+		w := compress.NewWriter(context.Background(), c, &sink, chunk, 4)
 		w.SetIndexSink(b)
 		if _, err := w.Write(data); err != nil {
 			t.Fatal(err)
@@ -56,7 +57,7 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(sink.Bytes(), stream) {
-			t.Fatal("parallel writer's indexed stream differs from serial writer's")
+			t.Fatal("indexed stream at 4 workers differs from one worker's")
 		}
 	})
 
@@ -179,13 +180,13 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 	t.Run("TrailerFaults", func(t *testing.T) { trailerFaults(t, c, stream, data, ra.Index(), lim) })
 }
 
-// indexedStream builds a v2 (trailer-carrying) stream through the serial
-// writer.
+// indexedStream builds a v2 (trailer-carrying) stream through a
+// one-worker writer.
 func indexedStream(t *testing.T, c compress.Codec, data []byte, chunk int) ([]byte, *container.Index) {
 	t.Helper()
 	var sink bytes.Buffer
 	b := container.NewIndexBuilder()
-	w := compress.NewWriter(c, &sink, chunk)
+	w := compress.NewWriter(context.Background(), c, &sink, chunk, 1)
 	w.SetIndexSink(b)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
@@ -217,7 +218,7 @@ func trailerFaults(t *testing.T, c compress.Codec, stream, data []byte, ix *cont
 				}
 				// The data region is untouched, so the v1 fallback must
 				// still deliver the original bytes.
-				out, rerr := io.ReadAll(compress.NewReaderLimits(c, bytes.NewReader(mut), lim))
+				out, rerr := io.ReadAll(compress.NewReader(context.Background(), c, bytes.NewReader(mut), lim, 1))
 				if rerr != nil || !bytes.Equal(out, data) {
 					t.Fatalf("%s: sequential fallback broke: %d bytes, %v", desc, len(out), rerr)
 				}

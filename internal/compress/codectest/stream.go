@@ -2,6 +2,7 @@ package codectest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -10,17 +11,16 @@ import (
 	"positbench/internal/compress"
 )
 
-// StreamEquivalence asserts that the parallel streaming engine is
-// indistinguishable from the serial one for codec c:
+// StreamEquivalence asserts that the chunk engine behaves the same for
+// codec c at every worker count:
 //
-//   - ParallelWriter output is byte-identical to serial Writer output for
-//     every tested chunk size and worker count (ordering guarantee);
-//   - each side's Reader decodes the other side's stream (wire
-//     compatibility), and the ParallelReader reproduces the data at every
-//     worker count;
-//   - on fault-injected streams (truncations, bit flips) the serial and
-//     parallel readers agree on success vs failure, on the delivered
-//     prefix, and on the error taxonomy class (first-error-wins).
+//   - the stream written at 2 and 4 workers is byte-identical to the one
+//     written at 1 worker, which runs each chunk inline, for every tested
+//     chunk size (ordering guarantee);
+//   - the reader reproduces the data at 1, 2 and 4 workers;
+//   - on fault-injected streams (truncations, bit flips) the readers at 1
+//     and 4 workers agree on success vs failure, on the delivered prefix,
+//     and on the error taxonomy class (first-error-wins).
 func StreamEquivalence(t *testing.T, c compress.Codec) {
 	t.Helper()
 	inputs := []struct {
@@ -38,28 +38,23 @@ func StreamEquivalence(t *testing.T, c compress.Codec) {
 		in := in
 		t.Run(in.name, func(t *testing.T) {
 			for _, chunk := range []int{8 << 10, 13000} {
-				serial := serialStream(t, c, in.data, chunk)
-				for _, w := range workerCounts {
-					if got := parallelStream(t, c, in.data, chunk, w); !bytes.Equal(got, serial) {
-						t.Fatalf("chunk=%d workers=%d: parallel stream differs from serial (%d vs %d bytes)",
-							chunk, w, len(got), len(serial))
+				stream := writeStream(t, c, in.data, chunk, 1)
+				for _, w := range workerCounts[1:] {
+					if got := writeStream(t, c, in.data, chunk, w); !bytes.Equal(got, stream) {
+						t.Fatalf("chunk=%d workers=%d: stream differs from one worker's (%d vs %d bytes)",
+							chunk, w, len(got), len(stream))
 					}
 				}
-				// Cross-read both directions.
 				for _, w := range workerCounts {
-					r := compress.NewParallelReader(c, bytes.NewReader(serial), w)
+					r := compress.NewReader(context.Background(), c, bytes.NewReader(stream), compress.DecodeLimits{}, w)
 					back, err := io.ReadAll(r)
 					r.Close()
 					if err != nil {
-						t.Fatalf("chunk=%d workers=%d: parallel read of serial stream: %v", chunk, w, err)
+						t.Fatalf("chunk=%d workers=%d: read: %v", chunk, w, err)
 					}
 					if !bytes.Equal(back, in.data) {
-						t.Fatalf("chunk=%d workers=%d: parallel read mismatch", chunk, w)
+						t.Fatalf("chunk=%d workers=%d: read mismatch", chunk, w)
 					}
-				}
-				back, err := io.ReadAll(compress.NewReader(c, bytes.NewReader(serial)))
-				if err != nil || !bytes.Equal(back, in.data) {
-					t.Fatalf("chunk=%d: serial re-read failed: %v", chunk, err)
 				}
 			}
 		})
@@ -68,27 +63,30 @@ func StreamEquivalence(t *testing.T, c compress.Codec) {
 }
 
 // streamFaultEquivalence corrupts a small multi-chunk stream and checks
-// that the serial and parallel decode paths fail identically.
+// that the readers at 1 and 4 workers fail identically.
 func streamFaultEquivalence(t *testing.T, c compress.Codec) {
 	t.Helper()
 	data := smoothFloatField(2 << 10) // 8 KiB over 2 KiB chunks -> 4 chunks
-	stream := serialStream(t, c, data, 2<<10)
+	stream := writeStream(t, c, data, 2<<10, 1)
 	lim := faultLimits(len(data))
 
+	read := func(mut []byte, workers int) ([]byte, error) {
+		r := compress.NewReader(context.Background(), c, bytes.NewReader(mut), lim, workers)
+		defer r.Close()
+		return io.ReadAll(r)
+	}
 	check := func(desc string, mut []byte) {
-		sOut, sErr := io.ReadAll(compress.NewReaderLimits(c, bytes.NewReader(mut), lim))
-		r := compress.NewParallelReaderLimits(c, bytes.NewReader(mut), lim, 4)
-		pOut, pErr := io.ReadAll(r)
-		r.Close()
-		if (sErr == nil) != (pErr == nil) {
-			t.Fatalf("%s: serial err %v, parallel err %v", desc, sErr, pErr)
+		oneOut, oneErr := read(mut, 1)
+		poolOut, poolErr := read(mut, 4)
+		if (oneErr == nil) != (poolErr == nil) {
+			t.Fatalf("%s: 1 worker err %v, 4 workers err %v", desc, oneErr, poolErr)
 		}
-		if !bytes.Equal(sOut, pOut) {
-			t.Fatalf("%s: serial delivered %d bytes, parallel %d", desc, len(sOut), len(pOut))
+		if !bytes.Equal(oneOut, poolOut) {
+			t.Fatalf("%s: 1 worker delivered %d bytes, 4 workers %d", desc, len(oneOut), len(poolOut))
 		}
 		for _, sentinel := range []error{compress.ErrCorrupt, compress.ErrTruncated, compress.ErrLimitExceeded} {
-			if errors.Is(sErr, sentinel) != errors.Is(pErr, sentinel) {
-				t.Fatalf("%s: taxonomy mismatch for %v: serial %v, parallel %v", desc, sentinel, sErr, pErr)
+			if errors.Is(oneErr, sentinel) != errors.Is(poolErr, sentinel) {
+				t.Fatalf("%s: taxonomy mismatch for %v: 1 worker %v, 4 workers %v", desc, sentinel, oneErr, poolErr)
 			}
 		}
 	}
@@ -106,23 +104,12 @@ func streamFaultEquivalence(t *testing.T, c compress.Codec) {
 	}
 }
 
-func serialStream(t *testing.T, c compress.Codec, data []byte, chunk int) []byte {
+// writeStream compresses data through the chunk engine at the given
+// worker count.
+func writeStream(t *testing.T, c compress.Codec, data []byte, chunk, workers int) []byte {
 	t.Helper()
 	var sink bytes.Buffer
-	w := compress.NewWriter(c, &sink, chunk)
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return sink.Bytes()
-}
-
-func parallelStream(t *testing.T, c compress.Codec, data []byte, chunk, workers int) []byte {
-	t.Helper()
-	var sink bytes.Buffer
-	w := compress.NewParallelWriter(c, &sink, chunk, workers)
+	w := compress.NewWriter(context.Background(), c, &sink, chunk, workers)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}

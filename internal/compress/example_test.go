@@ -2,6 +2,7 @@ package compress_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -21,10 +22,10 @@ func ExampleRoundtrip() {
 
 func ExampleNewWriter() {
 	var sink bytes.Buffer
-	w := compress.NewWriter(gzipc.New(), &sink, 0)
+	w := compress.NewWriter(context.Background(), gzipc.New(), &sink, 0, 1)
 	io.WriteString(w, "stream me")
 	w.Close()
-	back, _ := io.ReadAll(compress.NewReader(gzipc.New(), &sink))
+	back, _ := io.ReadAll(compress.NewReader(context.Background(), gzipc.New(), &sink, compress.DecodeLimits{}, 1))
 	fmt.Println(string(back))
 	// Output: stream me
 }

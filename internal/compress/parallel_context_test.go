@@ -26,7 +26,7 @@ func TestParallelWriterContextCancel(t *testing.T) {
 	noLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var sink bytes.Buffer
-	w := NewParallelWriterContext(ctx, &fakeCodec{}, &sink, 8, 2)
+	w := NewWriter(ctx, &fakeCodec{}, &sink, 8, 2)
 	if _, err := w.Write(parallelData(64)); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestParallelWriterContextCancelBeforeWrite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sink bytes.Buffer
-	w := NewParallelWriterContext(ctx, &fakeCodec{}, &sink, 8, 2)
+	w := NewWriter(ctx, &fakeCodec{}, &sink, 8, 2)
 	if _, err := w.Write([]byte{1, 2, 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write on cancelled ctx: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestParallelReaderContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewParallelReaderContext(ctx, &fakeCodec{}, &loopReader{data: one.Bytes()}, DecodeLimits{}, 2)
+	r := NewReader(ctx, &fakeCodec{}, &loopReader{data: one.Bytes()}, DecodeLimits{}, 2)
 	buf := make([]byte, 32)
 	if _, err := r.Read(buf); err != nil {
 		t.Fatalf("first read: %v", err)
@@ -102,7 +102,7 @@ func TestParallelReaderContextCancel(t *testing.T) {
 func TestParallelWriterCloseWithError(t *testing.T) {
 	defer noLeaks(t)
 	var dst bytes.Buffer
-	w := NewParallelWriter(&fakeCodec{}, &dst, 1<<20, 2)
+	w := NewWriter(context.Background(), &fakeCodec{}, &dst, 1<<20, 2)
 	if _, err := w.Write([]byte("partial chunk, never to be flushed")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestParallelWriterCloseWithError(t *testing.T) {
 func TestParallelWriterCloseWithErrorNil(t *testing.T) {
 	defer noLeaks(t)
 	var dst bytes.Buffer
-	w := NewParallelWriter(&fakeCodec{}, &dst, 8, 2)
+	w := NewWriter(context.Background(), &fakeCodec{}, &dst, 8, 2)
 	if _, err := w.Write([]byte("data")); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParallelReaderContextCleanEOF(t *testing.T) {
 	stream := writeParallel(t, &fakeCodec{}, data, 256, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := NewParallelReaderContext(ctx, &fakeCodec{}, bytes.NewReader(stream), DecodeLimits{}, 3)
+	r := NewReader(ctx, &fakeCodec{}, bytes.NewReader(stream), DecodeLimits{}, 3)
 	back, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)

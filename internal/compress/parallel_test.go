@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,8 +46,8 @@ func parallelData(n int) []byte {
 func writeParallel(t *testing.T, c Codec, data []byte, chunk, workers int) []byte {
 	t.Helper()
 	var sink bytes.Buffer
-	w := NewParallelWriter(c, &sink, chunk, workers)
-	// Awkward piece sizes, as the serial stream tests use.
+	w := NewWriter(context.Background(), c, &sink, chunk, workers)
+	// Awkward piece sizes, as the stream tests use.
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	rest := data
 	for len(rest) > 0 {
@@ -71,7 +72,7 @@ func writeParallel(t *testing.T, c Codec, data []byte, chunk, workers int) []byt
 func writeSerial(t *testing.T, c Codec, data []byte, chunk int) []byte {
 	t.Helper()
 	var sink bytes.Buffer
-	w := NewWriter(c, &sink, chunk)
+	w := NewWriter(context.Background(), c, &sink, chunk, 1)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +82,18 @@ func writeSerial(t *testing.T, c Codec, data []byte, chunk int) []byte {
 	return sink.Bytes()
 }
 
-// One worker must be byte-identical to the serial Writer, and any worker
-// count must be byte-identical to one worker (ordering guarantee).
+// Every worker count must be byte-identical to one worker, which runs
+// each chunk inline (ordering guarantee).
 func TestParallelWriterMatchesSerial(t *testing.T) {
 	noLeaks(t)
 	for _, size := range []int{0, 1, 100, 4096, 100000} {
 		data := parallelData(size)
 		for _, chunk := range []int{1, 64, 4096, 0} {
 			want := writeSerial(t, passthrough{}, data, chunk)
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, workers := range []int{2, 4, 8} {
 				got := writeParallel(t, passthrough{}, data, chunk, workers)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("size=%d chunk=%d workers=%d: parallel stream differs from serial (%d vs %d bytes)",
+					t.Fatalf("size=%d chunk=%d workers=%d: stream differs from one worker's (%d vs %d bytes)",
 						size, chunk, workers, len(got), len(want))
 				}
 			}
@@ -106,7 +107,7 @@ func TestParallelReaderMatchesSerial(t *testing.T) {
 		data := parallelData(size)
 		stream := writeSerial(t, passthrough{}, data, 1024)
 		for _, workers := range []int{1, 3, 8} {
-			r := NewParallelReader(passthrough{}, bytes.NewReader(stream), workers)
+			r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{}, workers)
 			back, err := io.ReadAll(r)
 			if err != nil {
 				t.Fatal(err)
@@ -114,7 +115,7 @@ func TestParallelReaderMatchesSerial(t *testing.T) {
 			if !bytes.Equal(back, data) {
 				t.Fatalf("size=%d workers=%d: parallel read mismatch", size, workers)
 			}
-			// Reads after EOF keep returning EOF, as the serial Reader does.
+			// Reads after EOF keep returning EOF.
 			if _, err := r.Read(make([]byte, 1)); err != io.EOF {
 				t.Fatalf("post-EOF read: %v", err)
 			}
@@ -129,7 +130,7 @@ func TestParallelReaderSmallReads(t *testing.T) {
 	noLeaks(t)
 	payload := []byte("the parallel reader must survive one-byte reads as well")
 	stream := writeSerial(t, passthrough{}, payload, 16)
-	r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
+	r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{}, 4)
 	var got []byte
 	one := make([]byte, 1)
 	for {
@@ -152,7 +153,7 @@ func TestParallelReaderSmallReads(t *testing.T) {
 func TestParallelWriterWriteAfterClose(t *testing.T) {
 	noLeaks(t)
 	var sink bytes.Buffer
-	w := NewParallelWriter(passthrough{}, &sink, 16, 2)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 16, 2)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func (brokenCompress) Compress(src []byte) ([]byte, error) {
 func TestParallelWriterCompressError(t *testing.T) {
 	noLeaks(t)
 	var sink bytes.Buffer
-	w := NewParallelWriter(brokenCompress{}, &sink, 4, 3)
+	w := NewWriter(context.Background(), brokenCompress{}, &sink, 4, 3)
 	data := bytes.Repeat([]byte{1}, 40)
 	data[8] = 0xFF // poisons the third chunk
 	var firstErr error
@@ -209,8 +210,8 @@ func (f failNth) Decompress(comp []byte) ([]byte, error) {
 
 // A decode failure on chunk k must surface after chunks < k were delivered
 // intact (first-error-wins in stream order), even though later chunks are
-// being decompressed concurrently; the error must match the serial path's
-// taxonomy, and the pool must wind down.
+// being decompressed concurrently; the error keeps its taxonomy, and the
+// pool must wind down.
 func TestParallelReaderFirstErrorWins(t *testing.T) {
 	noLeaks(t)
 	data := make([]byte, 64)
@@ -218,20 +219,16 @@ func TestParallelReaderFirstErrorWins(t *testing.T) {
 		data[i] = byte(i)
 	}
 	stream := writeSerial(t, passthrough{}, data, 8) // chunks start at 0,8,16,...
-	codec := failNth{bad: 24}                        // third chunk poisoned
-	serialBack, serialErr := io.ReadAll(NewReader(codec, bytes.NewReader(stream)))
+	codec := failNth{bad: 24}                        // the chunk at 24 is poisoned
 	for _, workers := range []int{1, 2, 8} {
-		r := NewParallelReader(codec, bytes.NewReader(stream), workers)
+		r := NewReader(context.Background(), codec, bytes.NewReader(stream), DecodeLimits{}, workers)
 		back, err := io.ReadAll(r)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("workers=%d: got %v, want ErrCorrupt", workers, err)
 		}
-		if !bytes.Equal(back, serialBack) {
-			t.Fatalf("workers=%d: delivered %d bytes before the error, serial delivered %d",
-				workers, len(back), len(serialBack))
-		}
-		if !errors.Is(serialErr, ErrCorrupt) {
-			t.Fatalf("serial reference did not fail as expected: %v", serialErr)
+		if !bytes.Equal(back, data[:24]) {
+			t.Fatalf("workers=%d: delivered %d bytes before the error, want the 24 before the poisoned chunk",
+				workers, len(back))
 		}
 		// The error is sticky.
 		if _, err2 := r.Read(make([]byte, 1)); err2 != err {
@@ -245,7 +242,7 @@ func TestParallelReaderEarlyClose(t *testing.T) {
 	noLeaks(t)
 	data := parallelData(100000)
 	stream := writeSerial(t, passthrough{}, data, 512) // many chunks
-	r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
+	r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{}, 4)
 	buf := make([]byte, 100)
 	if _, err := r.Read(buf); err != nil {
 		t.Fatal(err)
@@ -267,7 +264,7 @@ func TestParallelReaderTruncatedAndBomb(t *testing.T) {
 	stream := writeSerial(t, passthrough{}, data, 64)
 	t.Run("Truncated", func(t *testing.T) {
 		for _, cut := range []int{len(stream) - 1, len(stream) / 2, 1, 0} {
-			r := NewParallelReader(passthrough{}, bytes.NewReader(stream[:cut]), 4)
+			r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream[:cut]), DecodeLimits{}, 4)
 			if _, err := io.ReadAll(r); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d: %v, want an ErrCorrupt-class error", cut, err)
 			}
@@ -276,8 +273,7 @@ func TestParallelReaderTruncatedAndBomb(t *testing.T) {
 	t.Run("ChunkLengthBomb", func(t *testing.T) {
 		bomb := binary.AppendUvarint(nil, 1<<60)
 		bomb = append(bomb, 0xA5, 1, 2, 3)
-		r := NewParallelReaderLimits(passthrough{}, bytes.NewReader(bomb),
-			DecodeLimits{MaxOutputBytes: 1 << 20}, 4)
+		r := NewReader(context.Background(), passthrough{}, bytes.NewReader(bomb), DecodeLimits{MaxOutputBytes: 1 << 20}, 4)
 		if _, err := io.ReadAll(r); !errors.Is(err, ErrLimitExceeded) {
 			t.Fatalf("chunk bomb: %v, want ErrLimitExceeded", err)
 		}
@@ -285,7 +281,7 @@ func TestParallelReaderTruncatedAndBomb(t *testing.T) {
 }
 
 // blockingReader yields one frame then blocks until released; Close on the
-// ParallelReader must not wait for the underlying source.
+// Reader must not wait for the underlying source.
 type blockingReader struct {
 	data    []byte
 	off     int
@@ -309,7 +305,7 @@ func TestParallelReaderCloseWithSlowSource(t *testing.T) {
 	data := parallelData(300)
 	stream := writeSerial(t, passthrough{}, data, 100)
 	src := &blockingReader{data: stream[:len(stream)-1], release: make(chan struct{})}
-	r := NewParallelReader(passthrough{}, src, 2)
+	r := NewReader(context.Background(), passthrough{}, src, DecodeLimits{}, 2)
 	buf := make([]byte, 50)
 	if _, err := r.Read(buf); err != nil {
 		t.Fatal(err)

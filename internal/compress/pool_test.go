@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"runtime"
@@ -144,8 +145,8 @@ func TestParallelReaderEarlyCloseScheduler(t *testing.T) {
 
 	data := parallelData(256 << 10)
 	stream := writeSerial(t, passthrough{}, data, 1024)
-	r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
-	if r.SerialFallback() {
+	r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{}, 4)
+	if r.Inline() {
 		t.Fatal("expected the pool path under GOMAXPROCS(2) workers=4")
 	}
 	buf := make([]byte, 512)
@@ -188,8 +189,8 @@ func TestParallelWriterStickyErrorScheduler(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	var sink bytes.Buffer
-	w := NewParallelWriter(&errAfterCodec{n: 2}, &sink, 1024, 4)
-	if w.SerialFallback() {
+	w := NewWriter(context.Background(), &errAfterCodec{n: 2}, &sink, 1024, 4)
+	if w.Inline() {
 		t.Fatal("expected the pool path under GOMAXPROCS(2) workers=4")
 	}
 	data := parallelData(64 << 10)

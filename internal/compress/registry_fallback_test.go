@@ -2,6 +2,7 @@ package compress_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -10,10 +11,10 @@ import (
 	"positbench/internal/compress/all"
 )
 
-// TestSerialFallbackPolicyEveryRegistryCodec pins the engine's fallback
-// decision for every codec in the registry, both directions: the serial
-// path engages exactly when workers == 1 or only one CPU is available,
-// regardless of codec weight. No codec gets a bespoke policy — the
+// TestSerialFallbackPolicyEveryRegistryCodec pins the engine's choice
+// between running chunks inline and on a pool for every codec in the
+// registry, both directions: the inline path engages exactly when
+// workers == 1 or only one CPU is available, regardless of codec weight. No codec gets a bespoke policy — the
 // measurements recorded in DESIGN §15 showed parallel decode at
 // 0.90-0.98x of serial for bzip2/fpc32/fpc-posit at workers=4 on one
 // core, and the fix is uniform, so the pin is too.
@@ -29,7 +30,7 @@ func TestSerialFallbackPolicyEveryRegistryCodec(t *testing.T) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			var enc bytes.Buffer
-			w := compress.NewWriter(c, &enc, 2048)
+			w := compress.NewWriter(context.Background(), c, &enc, 2048, 1)
 			if _, err := w.Write(data); err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestSerialFallbackPolicyEveryRegistryCodec(t *testing.T) {
 				name       string
 				gomaxprocs int
 				workers    int
-				fallback   bool
+				inline     bool
 			}{
 				{"workers=1 multi-cpu", 2, 1, true},
 				{"workers=4 multi-cpu", 2, 4, false},
@@ -54,15 +55,15 @@ func TestSerialFallbackPolicyEveryRegistryCodec(t *testing.T) {
 			for _, tc := range cases {
 				runtime.GOMAXPROCS(tc.gomaxprocs)
 
-				pw := compress.NewParallelWriter(c, io.Discard, 2048, tc.workers)
-				if got := pw.SerialFallback(); got != tc.fallback {
-					t.Errorf("%s: writer fallback = %v, want %v", tc.name, got, tc.fallback)
+				pw := compress.NewWriter(context.Background(), c, io.Discard, 2048, tc.workers)
+				if got := pw.Inline(); got != tc.inline {
+					t.Errorf("%s: writer inline = %v, want %v", tc.name, got, tc.inline)
 				}
 				pw.Close()
 
-				pr := compress.NewParallelReader(c, bytes.NewReader(stream), tc.workers)
-				if got := pr.SerialFallback(); got != tc.fallback {
-					t.Errorf("%s: reader fallback = %v, want %v", tc.name, got, tc.fallback)
+				pr := compress.NewReader(context.Background(), c, bytes.NewReader(stream), compress.DecodeLimits{}, tc.workers)
+				if got := pr.Inline(); got != tc.inline {
+					t.Errorf("%s: reader inline = %v, want %v", tc.name, got, tc.inline)
 				}
 				pr.Close()
 			}

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -27,7 +28,7 @@ func (passthrough) Decompress(comp []byte) ([]byte, error) {
 func streamRoundtrip(t *testing.T, data []byte, chunk int) {
 	t.Helper()
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, chunk)
+	w := NewWriter(context.Background(), passthrough{}, &sink, chunk, 1)
 	// Write in awkward piece sizes.
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	rest := data
@@ -47,7 +48,7 @@ func streamRoundtrip(t *testing.T, data []byte, chunk int) {
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	back, err := io.ReadAll(NewReader(passthrough{}, &sink))
+	back, err := io.ReadAll(NewReader(context.Background(), passthrough{}, &sink, DecodeLimits{}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestStreamRoundtrip(t *testing.T) {
 
 func TestStreamWriteAfterClose(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, 16)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 16, 1)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestStreamWriteAfterClose(t *testing.T) {
 
 func TestStreamTruncated(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, 16)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 16, 1)
 	w.Write(bytes.Repeat([]byte{7}, 100))
 	w.Close()
 	full := sink.Bytes()
 	// Cut off the terminator and part of the last chunk.
 	for _, cut := range []int{len(full) - 1, len(full) / 2, 1} {
-		r := NewReader(passthrough{}, bytes.NewReader(full[:cut]))
+		r := NewReader(context.Background(), passthrough{}, bytes.NewReader(full[:cut]), DecodeLimits{}, 1)
 		if _, err := io.ReadAll(r); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
@@ -94,7 +95,7 @@ func TestStreamTruncated(t *testing.T) {
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	r := NewReader(passthrough{}, bytes.NewReader(nil))
+	r := NewReader(context.Background(), passthrough{}, bytes.NewReader(nil), DecodeLimits{}, 1)
 	if _, err := io.ReadAll(r); err == nil {
 		t.Fatal("empty stream accepted (missing terminator)")
 	}
@@ -102,11 +103,11 @@ func TestStreamEmptyInput(t *testing.T) {
 
 func TestStreamSmallReads(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, 32)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 32, 1)
 	payload := []byte("the streaming layer must survive one-byte reads and writes")
 	w.Write(payload)
 	w.Close()
-	r := NewReader(passthrough{}, &sink)
+	r := NewReader(context.Background(), passthrough{}, &sink, DecodeLimits{}, 1)
 	var got []byte
 	one := make([]byte, 1)
 	for {
@@ -139,10 +140,10 @@ func (failing) Decompress(comp []byte) ([]byte, error) {
 
 func TestStreamDecompressFailure(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, 16)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 16, 1)
 	w.Write([]byte("payload that will not decode"))
 	w.Close()
-	r := NewReader(failing{}, &sink)
+	r := NewReader(context.Background(), failing{}, &sink, DecodeLimits{}, 1)
 	_, err := io.ReadAll(r)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode failure surfaced as %v, want ErrCorrupt", err)
@@ -157,20 +158,20 @@ func TestStreamMismatchedLength(t *testing.T) {
 	// A chunk whose uvarint prefix declares more bytes than the stream
 	// holds must surface ErrTruncated, not hang or misdecode.
 	var sink bytes.Buffer
-	w := NewWriter(passthrough{}, &sink, 16)
+	w := NewWriter(context.Background(), passthrough{}, &sink, 16, 1)
 	w.Write([]byte("0123456789abcdef0123"))
 	w.Close()
 	full := sink.Bytes()
 	mut := append([]byte(nil), full...)
 	mut[0] += 40 // inflate the first chunk's declared length
-	if _, err := io.ReadAll(NewReader(passthrough{}, bytes.NewReader(mut))); !errors.Is(err, ErrTruncated) {
+	if _, err := io.ReadAll(NewReader(context.Background(), passthrough{}, bytes.NewReader(mut), DecodeLimits{}, 1)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("inflated chunk length: %v, want ErrTruncated", err)
 	}
 	// Deflating the prefix leaves trailing bytes that misparse; any error is
 	// acceptable, silence is not.
 	mut = append([]byte(nil), full...)
 	mut[0] -= 5
-	if back, err := io.ReadAll(NewReader(passthrough{}, bytes.NewReader(mut))); err == nil {
+	if back, err := io.ReadAll(NewReader(context.Background(), passthrough{}, bytes.NewReader(mut), DecodeLimits{}, 1)); err == nil {
 		t.Fatalf("deflated chunk length silently decoded %d bytes", len(back))
 	}
 }
@@ -178,20 +179,19 @@ func TestStreamMismatchedLength(t *testing.T) {
 // TestStreamEmptyChunkBody: a prefix declaring an empty chunk body
 // (uvarint 1) starts a chunk that fails to decode; it is not the stream
 // terminator (uvarint 0), whether it opens the stream or follows a good
-// chunk, and the serial and parallel readers agree.
+// chunk, inline and on the pool alike.
 func TestStreamEmptyChunkBody(t *testing.T) {
 	for _, stream := range [][]byte{
 		{1, 0},
 		{5, 0xA5, 'a', 'b', 'c', 1, 0},
 	} {
-		if _, err := io.ReadAll(NewReader(passthrough{}, bytes.NewReader(stream))); err == nil {
-			t.Errorf("serial reader accepted %v", stream)
-		}
-		r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
-		_, err := io.ReadAll(r)
-		r.Close()
-		if err == nil {
-			t.Errorf("parallel reader accepted %v", stream)
+		for _, workers := range []int{1, 4} {
+			r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{}, workers)
+			_, err := io.ReadAll(r)
+			r.Close()
+			if err == nil {
+				t.Errorf("workers=%d: reader accepted %v", workers, stream)
+			}
 		}
 	}
 }
@@ -202,7 +202,7 @@ func TestStreamChunkLengthBomb(t *testing.T) {
 	var stream []byte
 	stream = binary.AppendUvarint(stream, 1<<60)
 	stream = append(stream, 0xA5, 1, 2, 3)
-	r := NewReaderLimits(passthrough{}, bytes.NewReader(stream), DecodeLimits{MaxOutputBytes: 1 << 20})
+	r := NewReader(context.Background(), passthrough{}, bytes.NewReader(stream), DecodeLimits{MaxOutputBytes: 1 << 20}, 1)
 	if _, err := io.ReadAll(r); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("chunk bomb: %v, want ErrLimitExceeded", err)
 	}

@@ -25,8 +25,8 @@ func findChildren(sp *trace.SpanData, name string) []*trace.SpanData {
 
 func TestParallelEngineSpans(t *testing.T) {
 	// The span shape under test (queue-wait under each chunk) only exists
-	// on the scheduler path; on a 1-CPU runner construction would fall
-	// back to the serial engine, so force the scheduler.
+	// on the pool path; on a 1-CPU runner the engine would run every chunk
+	// inline, so force the pool.
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	tr := trace.New(4)
@@ -36,14 +36,14 @@ func TestParallelEngineSpans(t *testing.T) {
 	codec := gzipc.New()
 	src := bytes.Repeat([]byte("floating point data "), 4096)
 	var comp bytes.Buffer
-	w := compress.NewParallelWriterContext(ctx, codec, &comp, 16<<10, 2)
+	w := compress.NewWriter(ctx, codec, &comp, 16<<10, 2)
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := compress.NewParallelReaderContext(ctx, codec, bytes.NewReader(comp.Bytes()), compress.DecodeLimits{}, 2)
+	r := compress.NewReader(ctx, codec, bytes.NewReader(comp.Bytes()), compress.DecodeLimits{}, 2)
 	back, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -91,20 +91,19 @@ func TestParallelEngineSpans(t *testing.T) {
 func TestSerialEngineSpans(t *testing.T) {
 	tr := trace.New(4)
 	root := tr.Start("serial", "t2")
+	ctx := trace.NewContext(context.Background(), root)
 	codec := gzipc.New()
 	src := bytes.Repeat([]byte("serial stream data "), 2048)
 
 	var comp bytes.Buffer
-	w := compress.NewWriter(codec, &comp, 8<<10)
-	w.SetSpan(root)
+	w := compress.NewWriter(ctx, codec, &comp, 8<<10, 1)
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := compress.NewReader(codec, bytes.NewReader(comp.Bytes()))
-	r.SetSpan(root)
+	r := compress.NewReader(ctx, codec, bytes.NewReader(comp.Bytes()), compress.DecodeLimits{}, 1)
 	back, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +134,14 @@ func TestEngineCountersDrain(t *testing.T) {
 	codec := gzipc.New()
 	src := bytes.Repeat([]byte("counter data "), 8192)
 	var comp bytes.Buffer
-	w := compress.NewParallelWriter(codec, &comp, 16<<10, 2)
+	w := compress.NewWriter(context.Background(), codec, &comp, 16<<10, 2)
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := compress.NewParallelReader(codec, bytes.NewReader(comp.Bytes()), 2)
+	r := compress.NewReader(context.Background(), codec, bytes.NewReader(comp.Bytes()), compress.DecodeLimits{}, 2)
 	if _, err := io.ReadAll(r); err != nil {
 		t.Fatal(err)
 	}

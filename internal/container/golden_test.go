@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -89,7 +90,7 @@ func TestGoldenV2Stream(t *testing.T) {
 func TestGoldenV1ForwardCompat(t *testing.T) {
 	data := goldenInput()
 	var sink bytes.Buffer
-	w := compress.NewWriter(goldenCodec, &sink, goldenChunk)
+	w := compress.NewWriter(context.Background(), goldenCodec, &sink, goldenChunk, 1)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestGoldenV1ForwardCompat(t *testing.T) {
 		t.Fatalf("v1 stream drifted from golden fixture (%d vs %d bytes)", sink.Len(), len(want))
 	}
 
-	back, err := io.ReadAll(compress.NewReader(goldenCodec, bytes.NewReader(want)))
+	back, err := io.ReadAll(compress.NewReader(context.Background(), goldenCodec, bytes.NewReader(want), compress.DecodeLimits{}, 1))
 	if err != nil {
 		t.Fatalf("sequential decode of pinned v1 fixture: %v", err)
 	}

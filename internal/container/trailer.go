@@ -160,8 +160,7 @@ func ChunkHash(comp []byte) [HashLen]byte {
 
 // IndexBuilder accumulates chunk records as a stream writer emits frames
 // and serializes the trailer at Close. It implements compress.IndexSink:
-// attach with (*compress.Writer).SetIndexSink or the ParallelWriter
-// equivalent before the first Write.
+// attach with (*compress.Writer).SetIndexSink before the first Write.
 type IndexBuilder struct {
 	ix Index
 }

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -17,7 +18,7 @@ func buildIndexed(t *testing.T, c compress.Codec, data []byte, chunk int) ([]byt
 	t.Helper()
 	var sink bytes.Buffer
 	b := NewIndexBuilder()
-	w := compress.NewWriter(c, &sink, chunk)
+	w := compress.NewWriter(context.Background(), c, &sink, chunk, 1)
 	w.SetIndexSink(b)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestParseTrailerFallbackSignals(t *testing.T) {
 	data := patternData(4 << 10)
 	// A v1 stream (no sink, no trailer).
 	var v1 bytes.Buffer
-	w := compress.NewWriter(c, &v1, 1<<10)
+	w := compress.NewWriter(context.Background(), c, &v1, 1<<10, 1)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestReaderAtConcurrent(t *testing.T) {
 func FuzzTrailerParse(f *testing.F) {
 	c := Wrap(stub{})
 	var sink bytes.Buffer
-	w := compress.NewWriter(c, &sink, 512)
+	w := compress.NewWriter(context.Background(), c, &sink, 512, 1)
 	w.SetIndexSink(NewIndexBuilder())
 	if _, err := w.Write(patternData(2048)); err != nil {
 		f.Fatal(err)

@@ -11,6 +11,7 @@ package e2e
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -262,7 +263,7 @@ func soakRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var obj bytes.Buffer
-	w := compress.NewWriter(gz, &obj, 64<<10)
+	w := compress.NewWriter(context.Background(), gz, &obj, 64<<10, 1)
 	w.SetIndexSink(container.NewIndexBuilder())
 	if _, err = w.Write(in); err == nil {
 		err = w.Close()

@@ -41,7 +41,10 @@ func NewMatcher(src []byte, window, depth int) *Matcher {
 // Reset re-targets the matcher at a new source buffer, reusing its hash
 // tables so steady-state callers (e.g. chunked compressors) allocate only
 // when src outgrows every earlier buffer. window and depth are as for
-// NewMatcher.
+// NewMatcher. An empty src only drops the reference to the previous
+// buffer, which is how a pooled matcher lets go of it: the tables are
+// cleared by the next Reset that targets data, and until then Insert,
+// FindMatch and FindMatches return before reading them.
 func (m *Matcher) Reset(src []byte, window, depth int) {
 	if window <= 0 {
 		window = 1 << 16
@@ -50,6 +53,9 @@ func (m *Matcher) Reset(src []byte, window, depth int) {
 		depth = 16
 	}
 	m.src, m.window, m.depth = src, window, depth
+	if len(src) == 0 {
+		return
+	}
 	if m.head == nil {
 		m.head = make([]int32, hashSize)
 	} else {

@@ -171,3 +171,50 @@ func TestAppendMatch(t *testing.T) {
 		t.Fatalf("capped output: %v", err)
 	}
 }
+
+// TestResetMatchesFresh reuses one matcher across sources of different
+// lengths, releasing each with Reset(nil, ...) as lz4c does before pooling
+// it, and requires every FindMatch and FindMatches result on each source
+// to equal a fresh NewMatcher's: no chain entry may survive from an
+// earlier source.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5e7))
+	const window, maxLen = 1 << 12, 64
+	reused := NewMatcher(nil, window, 16)
+	var got, want []Match
+	for _, tc := range []struct{ n, depth int }{{4096, 16}, {3, 16}, {6000, 4}, {1, 8}, {2048, 32}, {5000, 16}} {
+		src := make([]byte, tc.n)
+		for i := range src {
+			src[i] = byte(rng.Intn(4)) // a small alphabet keeps the chains long
+		}
+		reused.Reset(src, window, tc.depth)
+		fresh := NewMatcher(src, window, tc.depth)
+		for pos := range src {
+			gd, gl := reused.FindMatch(pos, maxLen)
+			wd, wl := fresh.FindMatch(pos, maxLen)
+			if gd != wd || gl != wl {
+				t.Fatalf("n=%d pos=%d: FindMatch after Reset = (%d,%d), fresh = (%d,%d)", tc.n, pos, gd, gl, wd, wl)
+			}
+			got = reused.FindMatches(pos, maxLen, got[:0])
+			want = fresh.FindMatches(pos, maxLen, want[:0])
+			if len(got) != len(want) {
+				t.Fatalf("n=%d pos=%d: FindMatches after Reset = %v, fresh = %v", tc.n, pos, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d pos=%d: FindMatches after Reset = %v, fresh = %v", tc.n, pos, got, want)
+				}
+			}
+			reused.Insert(pos)
+			fresh.Insert(pos)
+		}
+		reused.Reset(nil, window, tc.depth)
+		if d, l := reused.FindMatch(0, maxLen); d != 0 || l != 0 {
+			t.Fatalf("FindMatch on an empty source = (%d,%d), want (0,0)", d, l)
+		}
+		if m := reused.FindMatches(0, maxLen, nil); len(m) != 0 {
+			t.Fatalf("FindMatches on an empty source = %v, want none", m)
+		}
+		reused.Insert(0) // a no-op on an empty source
+	}
+}

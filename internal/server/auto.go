@@ -90,7 +90,7 @@ func (s *Server) handleAuto(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(headerAutoFallback, "true")
 	}
 
-	pw := compress.NewParallelWriterContext(r.Context(), codec, w, chunkSize, workers)
+	pw := compress.NewWriter(r.Context(), codec, w, chunkSize, workers)
 	pw.SetIndexSink(container.NewIndexBuilder()) // auto streams are seekable too
 	total, err := io.Copy(pw, io.MultiReader(bytes.NewReader(prefix), body))
 	if err != nil {

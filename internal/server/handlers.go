@@ -20,15 +20,14 @@ import (
 
 // Content types for the two wire formats the data plane speaks.
 const (
-	// contentTypeStream is the chunked parallel stream: uvarint-framed
-	// container frames with a zero terminator, exactly what
-	// compress.ParallelWriter emits.
+	// contentTypeStream is the chunked stream: uvarint-framed container
+	// frames with a zero terminator, exactly what compress.Writer emits.
 	contentTypeStream = "application/x-positbench-stream"
 	contentTypeBinary = "application/octet-stream"
 )
 
 // handleCompress streams the request body through the named codec's
-// parallel chunked writer. The response never buffers whole: frames go out
+// chunk engine. The response never buffers whole: frames go out
 // as chunks complete, in order.
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	codec, ok := s.codec(r.PathValue("codec"))
@@ -61,7 +60,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypeStream)
 	w.Header().Set("X-Positd-Codec", codec.Name())
 
-	pw := compress.NewParallelWriterContext(r.Context(), codec, w, chunkSize, workers)
+	pw := compress.NewWriter(r.Context(), codec, w, chunkSize, workers)
 	// Every compressed stream leaves with a seek-index trailer: ~35 bytes
 	// per chunk buys clients random access via PUT /v1/objects +
 	// GET /v1/read, and v1 readers never see it (it sits past the stream
@@ -85,8 +84,8 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 // handleDecompress inverts handleCompress: the codec is identified from
 // the container frame header inside the stream, so the endpoint needs no
-// codec path segment. Both wire formats decode: the chunked parallel
-// stream, and a bare container frame as written by `compressbench -z`.
+// codec path segment. Both wire formats decode: the chunked stream, and a
+// bare container frame as written by `compressbench -z`.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	if err := s.checkContentLength(r); err != nil {
 		writeError(w, err)
@@ -144,7 +143,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// write, so it stays half duplex and keeps the server's own
 		// pre-response body discard protecting connection reuse.
 		_ = http.NewResponseController(w).EnableFullDuplex()
-		pr := compress.NewParallelReaderContext(r.Context(), codec, countReads(body, &bytesIn), lim, workers)
+		pr := compress.NewReader(r.Context(), codec, countReads(body, &bytesIn), lim, workers)
 		defer pr.Close()
 		if _, err := io.Copy(w, pr); err != nil {
 			s.abortStream(cw, r, err)
@@ -248,7 +247,7 @@ func sniffCodec(br *bufio.Reader) (name string, bare bool, err error) {
 }
 
 // countReads tallies bytes pulled from r into n (single-goroutine use: the
-// parallel reader's one fetcher).
+// chunk reader's one fetcher, or Read itself on the inline path).
 func countReads(r io.Reader, n *int64) io.Reader {
 	return &countingReader{r: r, n: n}
 }

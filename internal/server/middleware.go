@@ -38,7 +38,7 @@ const retryAfterSeconds = 1
 const writeDeadlineSlack = 5 * time.Second
 
 // deadline bounds the request end to end: the context deadline cancels
-// worker pools (compress.NewParallelWriterContext and friends), and the
+// worker pools (compress.NewWriter and compress.NewReader), and the
 // connection read deadline unblocks handlers stuck in Body.Read on a
 // stalled client.
 func (s *Server) deadline(next http.Handler) http.Handler {

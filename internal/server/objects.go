@@ -453,7 +453,7 @@ func (s *Server) readSequential(cw *httpshell.Writer, r *http.Request, obj *stor
 		wn, werr := cw.Write(out)
 		n, err = int64(wn), werr
 	} else {
-		pr := compress.NewParallelReaderContext(r.Context(), codec, bytes.NewReader(obj.data), lim, workers)
+		pr := compress.NewReader(r.Context(), codec, bytes.NewReader(obj.data), lim, workers)
 		defer pr.Close()
 		n, err = io.Copy(cw, pr)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -196,7 +197,7 @@ func TestReadV1Fallback(t *testing.T) {
 	orig := sampleF32(4 << 10)
 	codec, _ := s.codec("gzip")
 	var v1 bytes.Buffer
-	w := compress.NewWriter(codec, &v1, 8192) // no index sink: v1 wire format
+	w := compress.NewWriter(context.Background(), codec, &v1, 8192, 1) // no index sink: v1 wire format
 	if _, err := w.Write(orig); err != nil {
 		t.Fatal(err)
 	}
