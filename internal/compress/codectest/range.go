@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"positbench/internal/chunkcache"
@@ -21,8 +23,9 @@ import (
 //     and identical whether one worker or four emitted it;
 //   - every `[off,len)` window — off=0, len=0, chunk-boundary straddling,
 //     tail-straddling, whole-file, past-EOF, and a seeded random sample —
-//     decoded through RangeReader and through ReaderAt.ReadAt is
-//     byte-identical to the corresponding slice of the full sequential decode;
+//     decoded through RangeReader, one window at a time and all at once on
+//     one shared ReaderAt, is byte-identical to the corresponding slice of
+//     the full sequential decode;
 //   - a window only ever touches ceil(len/chunk)+1 chunks;
 //   - with a content-addressed cache attached, replayed windows hit the
 //     cache and still return exactly the same bytes;
@@ -114,23 +117,30 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 		}
 	})
 	t.Run("ReadAt", func(t *testing.T) {
-		par := container.NewReaderAtIndex(bytes.NewReader(stream), ra.Index(), c, container.ReaderAtOptions{Limits: lim, Workers: 4})
-		for _, win := range windows {
-			if win.len < 0 {
-				continue
-			}
-			p := make([]byte, win.len)
-			n, err := par.ReadAt(p, win.off)
-			w := want(win.off, win.len)
-			if err != nil && err != io.EOF {
-				t.Fatalf("ReadAt(%d,%d): %v", win.off, win.len, err)
-			}
-			wantEOF := win.len > 0 && (int64(len(w)) < win.len || win.off >= total)
-			if (err == io.EOF) != wantEOF {
-				t.Fatalf("ReadAt(%d,%d): EOF mismatch (err=%v, want %d of %d bytes)", win.off, win.len, err, len(w), win.len)
-			}
-			if !bytes.Equal(p[:n], w) {
-				t.Fatalf("ReadAt(%d,%d): content mismatch (%d bytes)", win.off, win.len, n)
+		// Every window at once, one goroutine each, through Range readers
+		// over one shared ReaderAt, as concurrent reads of one object
+		// arrive at positd: the codec's decode must be safe for that.
+		shared := container.NewReaderAtIndex(bytes.NewReader(stream), ra.Index(), c, container.ReaderAtOptions{Limits: lim})
+		errs := make([]error, len(windows))
+		var wg sync.WaitGroup
+		for i, win := range windows {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rr, err := shared.Range(win.off, win.len)
+				if err == nil {
+					var got []byte
+					if got, err = io.ReadAll(rr); err == nil && !bytes.Equal(got, want(win.off, win.len)) {
+						err = fmt.Errorf("content mismatch (%d bytes)", len(got))
+					}
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("concurrent Range(%d,%d): %v", windows[i].off, windows[i].len, err)
 			}
 		}
 	})

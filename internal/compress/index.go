@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"io"
-
-	"positbench/internal/pool"
-)
+import "io"
 
 // Random-access support for the chunked stream format. The writers know the
 // exact frame layout as they emit it — offset of every payload, its
@@ -28,31 +24,8 @@ type IndexSink interface {
 	WriteTrailer(dst io.Writer) (int64, error)
 }
 
-// RunParallel is pool.Run on the stream engines' pool: it executes
-// fn(0..n-1) on at most pool.Workers(workers) workers, counted in the same
-// sched_submitted, sched_local_hits and workers_alive figures. Range reads
-// use it to decode the chunks of a multi-chunk window concurrently. Like
-// pool.Run it runs inline, in order, with one worker, one item or one CPU,
-// where the parallelism cannot pay for its own handoffs. fn must be safe
-// for concurrent calls; RunParallel returns only after every call has
-// finished.
-func RunParallel(workers, n int, fn func(i int)) {
-	workers = min(pool.Workers(workers), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	p := startEnginePool(workers, func(_ int, i int) { fn(i) })
-	for i := 0; i < n; i++ {
-		p.submit(i)
-	}
-	p.close()
-}
-
-// AccountRangeRead records one random-access window resolution against the
-// engine counters (a ReadAt call or a RangeReader stream).
+// AccountRangeRead records one random-access window resolution (one
+// RangeReader stream) against the engine counters.
 func AccountRangeRead() { engine.rangeReads.Add(1) }
 
 // AccountRangeChunk records one chunk decoded on behalf of a range read:

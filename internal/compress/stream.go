@@ -37,10 +37,10 @@ import (
 // filling/draining plus the pool's queue), so peak buffering is
 // O(workers x chunkSize) plus the compressed copies of those same chunks.
 //
-// Scheduling: both engines and RunParallel run their chunks on a
-// pool.Pool, one FIFO queue drained by a fixed set of workers. With at
-// most workers+1 chunks pending, an idle worker always takes the oldest
-// one, which is the chunk the in-order emitter or reader waits on next.
+// Scheduling: both engines run their chunks on a pool.Pool, one FIFO
+// queue drained by a fixed set of workers. With at most workers+1 chunks
+// pending, an idle worker always takes the oldest one, which is the chunk
+// the in-order emitter or reader waits on next.
 //
 // Error semantics: the first error in stream order wins and is sticky;
 // ErrCorrupt/ErrTruncated/ErrLimitExceeded surface identically at every
@@ -51,7 +51,7 @@ import (
 // block codecs reach their full ratios, small enough to bound memory.
 const DefaultChunkSize = 4 << 20
 
-// enginePool is the pool.Pool the chunk engines and RunParallel run on,
+// enginePool is the pool.Pool the chunk engines run on,
 // plus the accounting /metrics reads: sched_submitted counts items handed
 // to it, sched_local_hits items its workers ran, and workers_alive its
 // workers from start until close has joined them.
@@ -88,12 +88,10 @@ func (e *enginePool[T]) close() {
 
 // chunkJob is one chunk moving through the writer: src is the raw chunk,
 // comp/err the compression result. On the pool, ready (capacity 1)
-// receives one token when comp is set, and jobs are recycled through a
-// sync.Pool carrying both their src and comp buffers, so steady-state
-// compression reuses them. Pooling the buffers inside the job (a pointer)
-// rather than as bare slices keeps the recycle path allocation-free:
-// boxing a slice header into an interface would itself allocate per
-// chunk. Inline, one job serves every chunk.
+// receives one token when comp is set, and the emitter returns each
+// emitted job, with its src and comp buffers, to the writer's free list,
+// so steady-state compression reuses them. Inline, one job serves every
+// chunk.
 type chunkJob struct {
 	src       []byte
 	comp      []byte
@@ -115,12 +113,12 @@ type Writer struct {
 	span *trace.Span // request span from the context; parents the chunk spans
 	seq  int         // chunk index, for span labels
 
-	cur     *chunkJob                   // chunk currently being filled by Write
-	jobPool sync.Pool                   // chunkJob shells with their ready channel and buffers
-	hdr     [binary.MaxVarintLen64]byte // frame-header scratch for emit
+	cur *chunkJob                   // chunk currently being filled by Write
+	hdr [binary.MaxVarintLen64]byte // frame-header scratch for emit
 
 	// The pool path; sched is nil when Write runs every chunk inline.
 	order chan *chunkJob         // submission order; capacity bounds in-flight chunks
+	free  chan *chunkJob         // emitted jobs, with their buffers, for Write to refill
 	sched *enginePool[*chunkJob] // compressors
 	done  chan struct{}          // closed when the emitter exits
 
@@ -150,9 +148,9 @@ func NewWriter(ctx context.Context, codec Codec, dst io.Writer, chunkSize, worke
 		chunkSize = DefaultChunkSize
 	}
 	w := &Writer{codec: codec, dst: dst, chunk: chunkSize, ctx: ctx, span: trace.FromContext(ctx)}
-	w.jobPool.New = func() interface{} { return &chunkJob{ready: make(chan struct{}, 1)} }
 	if workers = pool.Workers(workers); workers > 1 {
 		w.order = make(chan *chunkJob, workers)
+		w.free = make(chan *chunkJob, workers+2)
 		w.done = make(chan struct{})
 		w.sched = startEnginePool(workers, w.runJob)
 		go w.emitter()
@@ -243,9 +241,39 @@ func (w *Writer) emitter() {
 	for job := range w.order {
 		<-job.ready
 		w.emit(job)
-		w.jobPool.Put(job)
+		recycle(w.free, job)
 	}
 }
+
+// The free lists. At most workers+2 jobs (or slots) exist on the pool
+// path: workers queued in order (or slots), one held by the emitter (or
+// the fetcher) and one being filled by Write (or drained by Read). So a
+// free list of that capacity takes back every one of them, and after the
+// first workers+2 chunks take never allocates. A sync.Pool would miss
+// now and then: its Put runs on the emitter's or Read's P and its Get on
+// another goroutine's, and a miss costs an allocation per buffer.
+
+// take returns an item from free, or a new one when free is empty (or
+// nil, on the inline path).
+func take[T any](free chan *T, fresh func() *T) *T {
+	select {
+	case x := <-free:
+		return x
+	default:
+		return fresh()
+	}
+}
+
+// recycle returns x to free without blocking.
+func recycle[T any](free chan *T, x *T) {
+	select {
+	case free <- x:
+	default:
+	}
+}
+
+func newJob() *chunkJob   { return &chunkJob{ready: make(chan struct{}, 1)} }
+func newSlot() *chunkSlot { return &chunkSlot{ready: make(chan struct{}, 1)} }
 
 // endChunk ends a chunk span with its byte counts, noting err when the
 // chunk failed. A nil span (untraced stream) costs one branch.
@@ -309,7 +337,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	total := len(p)
 	for len(p) > 0 {
 		if w.cur == nil {
-			w.cur = w.jobPool.Get().(*chunkJob)
+			w.cur = take(w.free, newJob)
 		}
 		room := w.chunk - len(w.cur.src)
 		if room > len(p) {
@@ -398,9 +426,9 @@ func (w *Writer) CloseWithError(err error) error {
 
 // chunkSlot is one chunk moving through the reader, in stream order. On
 // the pool, ready (capacity 1) receives one token when out is resolved,
-// and slots are recycled once Read has fully drained them, carrying their
-// comp and out buffers so steady-state streaming reuses both. Inline, one
-// slot serves every chunk.
+// and Read returns each slot it has fully drained, with its comp and out
+// buffers, to the reader's free list, so steady-state streaming reuses
+// both. Inline, one slot serves every chunk.
 type chunkSlot struct {
 	comp    []byte
 	out     []byte
@@ -428,8 +456,8 @@ type Reader struct {
 
 	// The pool path; sched is nil when Read runs every chunk inline.
 	slots    chan *chunkSlot         // stream order; capacity bounds the read-ahead
+	free     chan *chunkSlot         // drained slots, with their buffers, for the fetcher
 	sched    *enginePool[*chunkSlot] // decompressors
-	slotPool sync.Pool
 	stop     chan struct{}
 	once     sync.Once
 	finished chan struct{} // closed once the pool has fully drained
@@ -455,9 +483,9 @@ func NewReader(ctx context.Context, codec Codec, src io.Reader, lim DecodeLimits
 		return r
 	}
 	r.slots = make(chan *chunkSlot, workers)
+	r.free = make(chan *chunkSlot, workers+2)
 	r.stop = make(chan struct{})
 	r.finished = make(chan struct{})
-	r.slotPool.New = func() interface{} { return &chunkSlot{ready: make(chan struct{}, 1)} }
 	r.sched = startEnginePool(workers, r.runSlot)
 	r.wg.Add(1)
 	go r.fetch()
@@ -525,7 +553,7 @@ func (r *Reader) fetch() {
 	defer r.wg.Done()
 	defer close(r.slots)
 	for {
-		slot := r.slotPool.Get().(*chunkSlot)
+		slot := take(r.free, newSlot)
 		more := r.readChunk(slot)
 		if more {
 			slot.fetched = time.Now()
@@ -664,7 +692,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			if r.cur != nil {
 				// The previous chunk is fully drained; its buffers go back
 				// to the fetcher for reuse.
-				r.slotPool.Put(r.cur)
+				recycle(r.free, r.cur)
 				r.cur = nil
 			}
 			slot, ok := <-r.slots

@@ -9,30 +9,25 @@ import (
 )
 
 // Random access over an indexed (v2) chunked stream. ReaderAt maps a raw
-// `[off,len)` window to the minimal chunk set via the trailer index,
-// fetches only those frames, verifies each against its indexed CRC-32C,
-// and decodes them — in parallel on the chunk engine's pool when the
-// window spans several chunks, and through an optional content-addressed
-// cache so repeated windows (or identical chunks across objects) decode
-// once.
+// `[off,len)` window to the minimal chunk set via the trailer index, and
+// its RangeReader fetches only those frames, verifies each against its
+// indexed CRC-32C, and decodes them one at a time as the window streams
+// out, through an optional content-addressed cache so repeated windows (or
+// identical chunks across objects) decode once.
 
 // ReaderAtOptions tunes a ReaderAt. The zero value is usable: default
-// decode limits, GOMAXPROCS workers, no cache.
+// decode limits, no cache.
 type ReaderAtOptions struct {
 	// Limits bounds every per-chunk decode, exactly as the stream readers do.
 	Limits compress.DecodeLimits
-	// Workers bounds parallel chunk decodes inside one ReadAt call;
-	// <= 0 selects GOMAXPROCS. RangeReader streams chunk-at-a-time and
-	// ignores it.
-	Workers int
 	// Cache, when non-nil, memoizes decoded chunks content-addressed by
 	// the trailer's chunk hash (pinned by CRC and raw length).
 	Cache *chunkcache.Cache
 }
 
-// ReaderAt provides random access into an indexed stream. ReadAt is
-// stateless and safe for concurrent use; Range returns a stateful
-// sequential reader over one window.
+// ReaderAt provides random access into an indexed stream. It is safe for
+// concurrent use; Range returns a stateful sequential reader over one
+// window.
 type ReaderAt struct {
 	src   io.ReaderAt
 	codec compress.Codec
@@ -93,53 +88,10 @@ func (r *ReaderAt) chunk(i int) (data []byte, cached bool, err error) {
 	return data, false, err
 }
 
-// ReadAt implements io.ReaderAt over the decoded byte space: it decodes
-// only the chunks overlapping [off, off+len(p)), in parallel when the
-// window spans more than one. Reads past EOF return io.EOF with the bytes
-// that exist, per the io.ReaderAt contract.
-func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("container: negative read offset %d", off)
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if off >= r.ix.RawLen {
-		return 0, io.EOF
-	}
-	want := int64(len(p))
-	short := false
-	if off+want > r.ix.RawLen {
-		want = r.ix.RawLen - off
-		short = true
-	}
-	compress.AccountRangeRead()
-	first, last := r.ix.Locate(off, want)
-	outs := make([][]byte, last-first)
-	errs := make([]error, last-first)
-	compress.RunParallel(r.opt.Workers, last-first, func(i int) {
-		outs[i], _, errs[i] = r.chunk(first + i)
-	})
-	var n int
-	for i, out := range outs {
-		if errs[i] != nil {
-			return n, errs[i] // first error in stream order wins
-		}
-		ref := &r.ix.Chunks[first+i]
-		lo := off + int64(n) - ref.RawOff
-		n += copy(p[n:], out[lo:])
-	}
-	if short {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
 // Range returns a sequential reader over the decoded window
 // [off, off+length). length < 0 means "to end of stream"; windows are
-// clamped at EOF. Unlike wrapping ReadAt in an io.SectionReader — which
-// would re-decode a chunk for every 32 KiB copy step — the RangeReader
-// decodes each touched chunk exactly once and streams it out.
+// clamped at EOF. The RangeReader decodes each touched chunk exactly once
+// and streams it out.
 func (r *ReaderAt) Range(off, length int64) (*RangeReader, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("container: negative range offset %d", off)
@@ -222,7 +174,4 @@ func (rr *RangeReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-var (
-	_ io.ReaderAt = (*ReaderAt)(nil)
-	_ io.Reader   = (*RangeReader)(nil)
-)
+var _ io.Reader = (*RangeReader)(nil)

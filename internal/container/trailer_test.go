@@ -189,15 +189,16 @@ func TestRangeReadTouchedChunks(t *testing.T) {
 	}
 }
 
-// TestReaderAtConcurrent exercises the stateless ReadAt path from many
-// goroutines sharing one cache; run under -race via `make race-twice`.
+// TestReaderAtConcurrent drives Range readers over one ReaderAt from many
+// goroutines sharing one cache, as positd's range reads do; run under
+// -race via `make race-twice`.
 func TestReaderAtConcurrent(t *testing.T) {
 	c := Wrap(stub{})
 	const chunk = 2 << 10
 	data := patternData(16 * chunk)
 	stream, _ := buildIndexed(t, c, data, chunk)
 	cache := chunkcache.New(1 << 20)
-	ra, err := NewReaderAt(bytes.NewReader(stream), int64(len(stream)), c, ReaderAtOptions{Cache: cache, Workers: 2})
+	ra, err := NewReaderAt(bytes.NewReader(stream), int64(len(stream)), c, ReaderAtOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +209,18 @@ func TestReaderAtConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				off := (g*977 + i*131) % len(data)
 				n := (i*53)%4096 + 1
-				p := make([]byte, n)
-				rn, err := ra.ReadAt(p, int64(off))
-				if err != nil && err != io.EOF {
+				rr, err := ra.Range(int64(off), int64(n))
+				if err != nil {
 					done <- err
 					return
 				}
-				end := off + rn
-				if !bytes.Equal(p[:rn], data[off:end]) {
-					done <- errors.New("concurrent ReadAt content mismatch")
+				got, err := io.ReadAll(rr)
+				if err != nil {
+					done <- err
+					return
+				}
+				if !bytes.Equal(got, data[off:min(off+n, len(data))]) {
+					done <- errors.New("concurrent Range content mismatch")
 					return
 				}
 			}

@@ -45,8 +45,6 @@ type Config struct {
 	// Backends are the positd base URLs (e.g. "http://127.0.0.1:9011").
 	// A bare host:port gets "http://" prepended.
 	Backends []string
-	// Replicas is the virtual-point count per backend on the hash ring.
-	Replicas int
 	// MaxBufferBytes caps request- and response-body buffering. Bodies at
 	// or under the cap make the request retry- and hedge-safe; larger ones
 	// are streamed through exactly once. 0 selects DefaultMaxBufferBytes.
@@ -82,9 +80,6 @@ type Config struct {
 	// Clock drives retries, hedging, breakers, and probe scheduling. Nil
 	// selects the system clock; tests inject resilience.FakeClock.
 	Clock resilience.Clock
-	// Transport performs the upstream requests. Nil selects a dedicated
-	// transport with sane connection pooling.
-	Transport http.RoundTripper
 	// AccessLog receives one JSON line per proxied request. Nil selects
 	// os.Stderr; io.Discard silences.
 	AccessLog io.Writer
@@ -157,19 +152,15 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = resilience.System
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
 	g := &Gateway{
 		cfg:   cfg,
 		clock: cfg.Clock,
 		client: &http.Client{
-			Transport: transport,
+			Transport: &http.Transport{
+				MaxIdleConns:        64,
+				MaxIdleConnsPerHost: 16,
+				IdleConnTimeout:     90 * time.Second,
+			},
 			// Relay 3xx verbatim; following them would hide the backend's
 			// answer from the client.
 			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
@@ -198,7 +189,7 @@ func New(cfg Config) (*Gateway, error) {
 		b.ready.Store(true)
 		g.backends = append(g.backends, b)
 	}
-	g.ring = newRing(len(g.backends), cfg.Replicas)
+	g.ring = newRing(len(g.backends))
 	return g, nil
 }
 

@@ -7,12 +7,13 @@ import (
 )
 
 // ring is a consistent-hash ring over backend indices. Each backend owns
-// Replicas virtual points; a key walks the ring clockwise from its hash and
-// collects backends in first-encounter order, which gives every key a stable
-// preference sequence: the same key always lands on the same backend while
-// it is healthy, and fails over to the same second choice when it is not.
-// Stability is what makes sharding useful to the backends (warm caches,
-// consistent admission pressure) and what makes retries deterministic.
+// defaultReplicas virtual points; a key walks the ring clockwise from its
+// hash and collects backends in first-encounter order, which gives every
+// key a stable preference sequence: the same key always lands on the same
+// backend while it is healthy, and fails over to the same second choice
+// when it is not. Stability is what makes sharding useful to the backends
+// (warm caches, consistent admission pressure) and what makes retries
+// deterministic.
 type ring struct {
 	points []ringPoint // sorted by hash
 	n      int         // number of distinct backends
@@ -28,15 +29,11 @@ type ringPoint struct {
 // small clusters.
 const defaultReplicas = 64
 
-// newRing builds a ring over n backends with the given virtual-point count
-// per backend (<= 0 selects defaultReplicas).
-func newRing(n, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &ring{n: n, points: make([]ringPoint, 0, n*replicas)}
+// newRing builds a ring over n backends.
+func newRing(n int) *ring {
+	r := &ring{n: n, points: make([]ringPoint, 0, n*defaultReplicas)}
 	for b := 0; b < n; b++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < defaultReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hashString(fmt.Sprintf("backend-%d-vnode-%d", b, v)), backend: b})
 		}
 	}

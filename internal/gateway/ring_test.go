@@ -7,7 +7,7 @@ import (
 
 // Every key gets a stable, complete permutation of the backends.
 func TestRingSequenceIsStablePermutation(t *testing.T) {
-	r := newRing(5, 0)
+	r := newRing(5)
 	for i := 0; i < 200; i++ {
 		key := hashString(fmt.Sprintf("key-%d", i))
 		seq := r.sequence(key)
@@ -34,7 +34,7 @@ func TestRingSequenceIsStablePermutation(t *testing.T) {
 // keyspace on a 4-node ring (perfect would be a quarter each).
 func TestRingDistribution(t *testing.T) {
 	const n, keys = 4, 4000
-	r := newRing(n, 0)
+	r := newRing(n)
 	counts := make([]int, n)
 	for i := 0; i < keys; i++ {
 		counts[r.sequence(hashString(fmt.Sprintf("key-%d", i)))[0]]++
@@ -50,10 +50,10 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if got := newRing(0, 0).sequence(42); len(got) != 0 {
+	if got := newRing(0).sequence(42); len(got) != 0 {
 		t.Fatalf("empty ring sequence = %v", got)
 	}
-	if got := newRing(1, 0).sequence(42); len(got) != 1 || got[0] != 0 {
+	if got := newRing(1).sequence(42); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single ring sequence = %v", got)
 	}
 }

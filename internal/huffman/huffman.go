@@ -6,7 +6,7 @@ package huffman
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"positbench/internal/bitio"
 	"positbench/internal/compress"
@@ -183,27 +183,24 @@ func sortKeys(keys, scratch []uint64) {
 }
 
 // canonicalCodes assigns canonical codes (shorter codes first, ties by
-// symbol order) from a length table.
-func canonicalCodes(lengths []uint8) ([]uint32, error) {
+// symbol order) from a length table. It also returns, for each length l
+// up to the longest, the number of codes of length l and the first of
+// them; count[0] is 0.
+func canonicalCodes(lengths []uint8) (codes []uint32, count []int, first []uint32, err error) {
 	maxLen := uint8(0)
 	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
-	if maxLen == 0 {
-		return make([]uint32, len(lengths)), nil
-	}
-	count := make([]int, maxLen+1)
+	count = make([]int, maxLen+1)
 	for _, l := range lengths {
 		count[l]++
 	}
 	count[0] = 0
-	next := make([]uint32, maxLen+2)
+	first = make([]uint32, maxLen+1)
 	code := uint32(0)
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + uint32(count[l-1])) << 1
-		next[l] = code
+		first[l] = code
 	}
 	// Kraft check.
 	var kraft uint64
@@ -213,9 +210,10 @@ func canonicalCodes(lengths []uint8) ([]uint32, error) {
 		}
 	}
 	if kraft > 1<<uint(maxLen) {
-		return nil, compress.Errorf(compress.ErrCorrupt, "huffman: over-subscribed length table")
+		return nil, nil, nil, compress.Errorf(compress.ErrCorrupt, "huffman: over-subscribed length table")
 	}
-	codes := make([]uint32, len(lengths))
+	codes = make([]uint32, len(lengths))
+	next := slices.Clone(first)
 	for sym, l := range lengths {
 		if l == 0 {
 			continue
@@ -223,7 +221,7 @@ func canonicalCodes(lengths []uint8) ([]uint32, error) {
 		codes[sym] = next[l]
 		next[l]++
 	}
-	return codes, nil
+	return codes, count, first, nil
 }
 
 // Encoder emits canonical Huffman codes for symbols.
@@ -234,7 +232,7 @@ type Encoder struct {
 
 // NewEncoder builds an encoder from a length table.
 func NewEncoder(lengths []uint8) (*Encoder, error) {
-	codes, err := canonicalCodes(lengths)
+	codes, _, _, err := canonicalCodes(lengths)
 	if err != nil {
 		return nil, err
 	}
@@ -264,93 +262,46 @@ type Decoder struct {
 	syms      []int    // symbols in canonical order
 }
 
-// NewDecoder builds a decoder from a length table.
+// NewDecoder builds a decoder from a length table. One walk over the
+// symbols places each in syms at its canonical rank, which is its code
+// minus the first code of its length, and fills the root table: for a code
+// of length l <= rootBits, every rootBits-wide bit pattern that starts
+// with the code maps to (sym, l). Prefixes of longer codes and junk
+// patterns stay 0 and take the canonical-walk fallback. Alphabets too
+// large for the packed entry layout (never hit by the codecs: symbols must
+// fit 28 bits) skip the table.
 func NewDecoder(lengths []uint8) (*Decoder, error) {
-	if _, err := canonicalCodes(lengths); err != nil {
+	codes, counts, firstCode, err := canonicalCodes(lengths)
+	if err != nil {
 		return nil, err
 	}
-	maxLen := uint8(0)
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
+	maxLen := uint8(len(counts) - 1)
+	d := &Decoder{maxLen: maxLen, firstCode: firstCode, firstSym: make([]int, maxLen+1), counts: counts}
+	n := 0
+	for l, c := range counts {
+		d.firstSym[l] = n
+		n += c
 	}
-	d := &Decoder{
-		maxLen:    maxLen,
-		firstCode: make([]uint32, maxLen+1),
-		firstSym:  make([]int, maxLen+1),
-		counts:    make([]int, maxLen+1),
+	d.syms = make([]int, n)
+	if maxLen > 0 && len(lengths) <= 1<<28 {
+		d.rootBits = min(uint(maxLen), rootBits)
+		d.root = make([]uint32, 1<<d.rootBits)
 	}
-	type symLen struct {
-		sym int
-		l   uint8
-	}
-	var sl []symLen
+	rb := d.rootBits
 	for sym, l := range lengths {
-		if l > 0 {
-			sl = append(sl, symLen{sym, l})
-			d.counts[l]++
+		if l == 0 {
+			continue
 		}
-	}
-	sort.Slice(sl, func(i, j int) bool {
-		if sl[i].l != sl[j].l {
-			return sl[i].l < sl[j].l
-		}
-		return sl[i].sym < sl[j].sym
-	})
-	for _, s := range sl {
-		d.syms = append(d.syms, s.sym)
-	}
-	code := uint32(0)
-	symIdx := 0
-	for l := uint8(1); l <= maxLen; l++ {
-		if l > 1 {
-			code = (code + uint32(d.counts[l-1])) << 1
-		}
-		d.firstCode[l] = code
-		d.firstSym[l] = symIdx
-		symIdx += d.counts[l]
-	}
-	d.buildRoot(lengths)
-	return d, nil
-}
-
-// buildRoot fills the one-step lookup table: for each code of length
-// l <= d.rootBits, every rootBits-wide bit pattern starting with that code
-// maps to (sym, l). Prefixes of longer codes and junk patterns stay 0 and
-// take the canonical-walk fallback. Alphabets too large for the packed
-// entry layout (never hit by the codecs: symbols must fit 28 bits) simply
-// skip the table.
-func (d *Decoder) buildRoot(lengths []uint8) {
-	if d.maxLen == 0 || len(lengths) > 1<<28 {
-		return
-	}
-	rb := uint(rootBits)
-	if uint(d.maxLen) < rb {
-		rb = uint(d.maxLen)
-	}
-	d.rootBits = rb
-	d.root = make([]uint32, 1<<rb)
-	code := uint32(0)
-	symIdx := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		if l > 1 {
-			code = (code + uint32(d.counts[l-1])) << 1
-		}
-		if uint(l) <= rb {
-			span := uint(1) << (rb - uint(l)) // table slots per code
-			for i := 0; i < d.counts[l]; i++ {
-				sym := d.syms[symIdx+i]
-				entry := uint32(sym)<<4 | uint32(l)
-				base := uint((code + uint32(i))) << (rb - uint(l))
-				slots := d.root[base : base+span]
-				for j := range slots {
-					slots[j] = entry
-				}
+		code := codes[sym]
+		d.syms[d.firstSym[l]+int(code-firstCode[l])] = sym
+		if d.root != nil && uint(l) <= rb {
+			slots := d.root[code<<(rb-uint(l)):][:1<<(rb-uint(l))]
+			for j := range slots {
+				slots[j] = uint32(sym)<<4 | uint32(l)
 			}
 		}
-		symIdx += d.counts[l]
 	}
+	return d, nil
 }
 
 // Decode reads one symbol from r. Codes of length <= rootBits resolve with
@@ -424,24 +375,9 @@ func (d *Decoder) DecodeBatch(r *bitio.Reader, dst []uint16, stop int) (int, boo
 		}
 	}
 	for k < len(dst) {
-		var s int
-		if root != nil {
-			if e := root[r.PeekBits(rb)]; e != 0 {
-				if err := r.Consume(uint(e & 15)); err != nil {
-					return k, false, err
-				}
-				s = int(e >> 4)
-			} else {
-				var err error
-				if s, err = d.decodeSlow(r); err != nil {
-					return k, false, err
-				}
-			}
-		} else {
-			var err error
-			if s, err = d.decodeSlow(r); err != nil {
-				return k, false, err
-			}
+		s, err := d.Decode(r)
+		if err != nil {
+			return k, false, err
 		}
 		if s == stop {
 			return k, true, nil

@@ -205,36 +205,46 @@ func (d *Decoder) Err() error { return d.err }
 // DecodeBit decodes one bit under the adaptive context *p. Like DecodeTree
 // it selects with borrow masks instead of a data-dependent branch.
 func (d *Decoder) DecodeBit(p *Prob) int {
-	pv := uint32(*p)
-	bound := d.rng >> probBits * pv
-	t := uint64(d.code) - uint64(bound)
-	sel := uint32(t >> 32) // all-ones when code < bound (bit 0)
-	d.code = uint32(t) + bound&sel
-	d.rng = bound&sel | (d.rng-bound)&^sel
-	down := pv - pv>>moveBits
-	*p = Prob(down + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel)
-	if d.rng < topValue {
-		d.normalize()
-	}
-	return int(sel + 1)
+	code, rng, pv, bit := decodeMasked(uint32(*p), d.code, d.rng)
+	*p = pv
+	d.code, d.rng, d.pos = d.refill(code, rng, d.pos)
+	return int(bit)
 }
 
-// normalize refills the range register. Outlined from the decode fast paths:
-// adaptive probabilities are clamped far from 0 and 1, so one decode step
-// shrinks rng by at most ~66x and a single byte shift restores the invariant
-// — the loop runs exactly once whenever it is entered.
-func (d *Decoder) normalize() {
-	for d.rng < topValue {
-		var b byte
-		if d.pos < len(d.in) {
-			b = d.in[d.pos]
-			d.pos++
-		} else {
-			d.err = ErrTruncated
-		}
-		d.rng <<= 8
-		d.code = d.code<<8 | uint32(b)
+// decodeMasked is the decoder's one coding step, on locals, with the bit
+// selected by a borrow mask instead of a branch: sel is all ones when
+// code < bound (bit 0), so code keeps its value and rng becomes bound only
+// then, and the probability moves up instead of down. The decoded bits of
+// noisy float mantissas are near-random, so a branch would mispredict on
+// about half of them. It returns the new registers, the new probability
+// and the bit; the caller refills.
+func decodeMasked(pv, code, rng uint32) (uint32, uint32, Prob, uint32) {
+	bound := rng >> probBits * pv
+	t := uint64(code) - uint64(bound)
+	sel := uint32(t >> 32)
+	return uint32(t) + bound&sel, bound&sel | (rng-bound)&^sel,
+		Prob(pv - pv>>moveBits + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel), sel + 1
+}
+
+// refill restores rng >= topValue after one decode step by shifting one
+// input byte into code; past the end of the input it shifts in a zero and
+// flags truncation, which Err reports. One shift always suffices:
+// adaptive probabilities stay in [31, 2017]/2048, so an adaptive step
+// shrinks rng at most ~66x, and a DecodeDirect step halves it. The test
+// is inside, so every call site is one line; the shift runs about once
+// per input byte.
+func (d *Decoder) refill(code, rng uint32, pos int) (uint32, uint32, int) {
+	if rng >= topValue {
+		return code, rng, pos
 	}
+	var b byte
+	if pos < len(d.in) {
+		b = d.in[pos]
+		pos++
+	} else {
+		d.err = ErrTruncated
+	}
+	return code<<8 | uint32(b), rng << 8, pos
 }
 
 // DecodeTree walks nbits adaptive contexts MSB-first through the implicit
@@ -247,37 +257,13 @@ func (d *Decoder) DecodeTree(probs []Prob, nbits uint) uint32 {
 	// stay below len(probs), so the loop body runs without bounds checks.
 	mask := uint32(1)<<nbits - 1
 	probs = probs[:mask+1]
-	code, rng := d.code, d.rng
-	in, pos := d.in, d.pos
+	code, rng, pos := d.code, d.rng, d.pos
 	node := uint32(1)
 	for i := uint(0); i < nbits; i++ {
-		pv := uint32(probs[node&mask])
-		bound := rng >> probBits * pv
-		// Branch-free select via borrow masks: sel is all-ones when
-		// code < bound (bit 0). The decoded bits of noisy float mantissas
-		// are near-random, so a branchy walk would mispredict on most of
-		// them; mask arithmetic keeps the pipeline full.
-		t := uint64(code) - uint64(bound)
-		sel := uint32(t >> 32)
-		code = uint32(t) + bound&sel
-		rng = bound&sel | (rng-bound)&^sel
-		down := pv - pv>>moveBits
-		probs[node&mask] = Prob(down + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel)
-		node = node<<1 | (sel + 1)
-		// Single-shift normalize: probabilities are clamped to
-		// [31, 2017]/2048, so one step shrinks rng at most ~66x and one
-		// byte refill always restores rng >= topValue (see normalize).
-		if rng < topValue {
-			var b byte
-			if pos < len(in) {
-				b = in[pos]
-				pos++
-			} else {
-				d.err = ErrTruncated
-			}
-			rng <<= 8
-			code = code<<8 | uint32(b)
-		}
+		var bit uint32
+		code, rng, probs[node&mask], bit = decodeMasked(uint32(probs[node&mask]), code, rng)
+		node = node<<1 | bit
+		code, rng, pos = d.refill(code, rng, pos)
 	}
 	d.code, d.rng, d.pos = code, rng, pos
 	return node
@@ -293,15 +279,13 @@ func (d *Decoder) DecodeTree(probs []Prob, nbits uint) uint32 {
 // an isMatch bit decodes to 1 (returns hitMatch=true with that bit
 // consumed) or when out reaches max bytes.
 func (d *Decoder) DecodeLiteralRun(isMatch []Prob, literals [][]Prob, out []byte, max int) (res []byte, hitMatch bool) {
-	code, rng := d.code, d.rng
-	in, pos := d.in, d.pos
+	code, rng, pos := d.code, d.rng, d.pos
 	im := isMatch[:4]
 	n := len(out)
 	prev := byte(0) // previous decoded byte, kept in a register for the ctx
 	if n > 0 {
 		prev = out[n-1]
 	}
-	impv := uint32(im[n&3])
 	for n < max {
 		// Make room for the next stretch so the inner loop writes by index;
 		// the grow-and-back-off keeps append's amortized doubling.
@@ -314,224 +298,55 @@ func (d *Decoder) DecodeLiteralRun(isMatch []Prob, literals [][]Prob, out []byte
 			limit = len(buf)
 		}
 		for n < limit {
-			pv := impv
-			bound := rng >> probBits * pv
-			t := uint64(code) - uint64(bound)
-			sel := uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			down := pv - pv>>moveBits
-			im[n&3] = Prob(down + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel)
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			if sel == 0 { // isMatch = 1: a match follows
+			var bit uint32
+			code, rng, im[n&3], bit = decodeMasked(uint32(im[n&3]), code, rng)
+			code, rng, pos = d.refill(code, rng, pos)
+			if bit == 1 { // isMatch = 1: a match follows
 				d.code, d.rng, d.pos = code, rng, pos
 				return out[:n], true
 			}
-			// Preload the next position's isMatch probability (a different
-			// slot than the one updated above, since the context rotates with
-			// n) so the load resolves during the tree walk below.
-			impv = uint32(im[(n+1)&3])
 			// The literal is an 8-level tree walk, fully unrolled: per-level
 			// constant index masks prove every access below len 512 (so no
-			// bounds checks), and both children are loaded before sel
+			// bounds checks), and both children are loaded before the bit
 			// resolves, keeping the probability load off the loop-carried
-			// dependency chain. The matched-mode contexts sharing the slice
+			// dependency chain; bit-1 is all ones for bit 0, the same
+			// borrow mask decodeMasked selects with, so the select costs
+			// two operations. The matched-mode contexts sharing the slice
 			// above index 255 make the speculative reads harmless.
 			probs := literals[prev>>5][:512]
-			node := uint32(1)
-			lpv := uint32(probs[1])
-			var child, pv0, pv1 uint32
-			// level 0
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x1] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0x3])
-			pv1 = uint32(probs[(child|1)&0x3])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 1
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x3] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0x7])
-			pv1 = uint32(probs[(child|1)&0x7])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 2
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x7] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0xf])
-			pv1 = uint32(probs[(child|1)&0xf])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 3
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0xf] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0x1f])
-			pv1 = uint32(probs[(child|1)&0x1f])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 4
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x1f] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0x3f])
-			pv1 = uint32(probs[(child|1)&0x3f])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 5
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x3f] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0x7f])
-			pv1 = uint32(probs[(child|1)&0x7f])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 6
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0x7f] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			child = node << 1
-			pv0 = uint32(probs[child&0xff])
-			pv1 = uint32(probs[(child|1)&0xff])
-			node = child | (sel + 1)
-			lpv = pv1 ^ (pv1^pv0)&sel
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			// level 7
-			bound = rng >> probBits * lpv
-			t = uint64(code) - uint64(bound)
-			sel = uint32(t >> 32)
-			code = uint32(t) + bound&sel
-			rng = bound&sel | (rng-bound)&^sel
-			probs[node&0xff] = Prob(lpv - lpv>>moveBits + ((probTotal-lpv)>>moveBits+lpv>>moveBits)&sel)
-			node = node<<1 | (sel + 1)
-			if rng < topValue {
-				var b byte
-				if pos < len(in) {
-					b = in[pos]
-					pos++
-				} else {
-					d.err = ErrTruncated
-				}
-				rng <<= 8
-				code = code<<8 | uint32(b)
-			}
-			prev = byte(node)
+			node, lpv := uint32(1), uint32(probs[1])
+			var pv0, pv1 uint32
+			code, rng, probs[node&0x1], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0x3]), uint32(probs[(node<<1|1)&0x3])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0x3], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0x7]), uint32(probs[(node<<1|1)&0x7])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0x7], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0xf]), uint32(probs[(node<<1|1)&0xf])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0xf], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0x1f]), uint32(probs[(node<<1|1)&0x1f])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0x1f], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0x3f]), uint32(probs[(node<<1|1)&0x3f])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0x3f], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0x7f]), uint32(probs[(node<<1|1)&0x7f])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0x7f], bit = decodeMasked(lpv, code, rng)
+			pv0, pv1 = uint32(probs[node<<1&0xff]), uint32(probs[(node<<1|1)&0xff])
+			node, lpv = node<<1|bit, pv1^(pv1^pv0)&(bit-1)
+			code, rng, pos = d.refill(code, rng, pos)
+			code, rng, probs[node&0xff], bit = decodeMasked(lpv, code, rng)
+			code, rng, pos = d.refill(code, rng, pos)
+			prev = byte(node<<1 | bit)
 			buf[n] = prev
 			n++
 		}
@@ -541,65 +356,27 @@ func (d *Decoder) DecodeLiteralRun(isMatch []Prob, literals [][]Prob, out []byte
 	return out[:n], false
 }
 
-// DecodeTreeMatched is the LZMA matched-literal walk: while decoded bits
-// agree with matchByte the context set (1+matchBit)<<8 applies; on the first
-// divergence it falls back to the plain tree. Register-local like DecodeTree.
+// DecodeTreeMatched is the LZMA matched-literal walk, the decode side of
+// Encoder.EncodeTreeMatched: while the decoded bits agree with matchByte,
+// the next bit is decoded under probs[(1+matchBit)<<8+node]; from the first
+// divergence on, under the plain tree probs[node]. probs needs 0x300
+// entries. Register-local like DecodeTree, and the mode switch is
+// branch-free the same way as the encoder's: offs stays 0x100 while the
+// bits agree and drops to 0 at the first divergence.
 func (d *Decoder) DecodeTreeMatched(probs []Prob, matchByte byte) uint32 {
-	code, rng := d.code, d.rng
-	in, pos := d.in, d.pos
+	probs = probs[:0x300]
+	code, rng, pos := d.code, d.rng, d.pos
+	offs := uint32(0x100)
 	node := uint32(1)
 	match := uint32(matchByte)
 	for node < 0x100 {
-		match <<= 1
-		matchBit := match >> 8 & 1
-		idx := (1+matchBit)<<8 + node
-		pv := uint32(probs[idx])
-		bound := rng >> probBits * pv
-		t := uint64(code) - uint64(bound)
-		sel := uint32(t >> 32)
-		code = uint32(t) + bound&sel
-		rng = bound&sel | (rng-bound)&^sel
-		down := pv - pv>>moveBits
-		probs[idx] = Prob(down + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel)
-		bit := sel + 1
+		match <<= 1 // bit 8 is the matched byte's next bit
+		idx := offs + match&offs + node
+		var bit uint32
+		code, rng, probs[idx], bit = decodeMasked(uint32(probs[idx]), code, rng)
 		node = node<<1 | bit
-		if rng < topValue {
-			var b byte
-			if pos < len(in) {
-				b = in[pos]
-				pos++
-			} else {
-				d.err = ErrTruncated
-			}
-			rng <<= 8
-			code = code<<8 | uint32(b)
-		}
-		if matchBit != bit {
-			// Diverged: finish with the plain tree contexts.
-			for node < 0x100 {
-				pv := uint32(probs[node])
-				bound := rng >> probBits * pv
-				t := uint64(code) - uint64(bound)
-				sel := uint32(t >> 32)
-				code = uint32(t) + bound&sel
-				rng = bound&sel | (rng-bound)&^sel
-				down := pv - pv>>moveBits
-				probs[node] = Prob(down + ((probTotal-pv)>>moveBits+pv>>moveBits)&sel)
-				node = node<<1 | (sel + 1)
-				if rng < topValue {
-					var b byte
-					if pos < len(in) {
-						b = in[pos]
-						pos++
-					} else {
-						d.err = ErrTruncated
-					}
-					rng <<= 8
-					code = code<<8 | uint32(b)
-				}
-			}
-			break
-		}
+		offs &^= match ^ node<<8
+		code, rng, pos = d.refill(code, rng, pos)
 	}
 	d.code, d.rng, d.pos = code, rng, pos
 	return node
@@ -608,35 +385,17 @@ func (d *Decoder) DecodeTreeMatched(probs []Prob, matchByte byte) uint32 {
 // DecodeTreeReverse is DecodeTree with LSB-first bit order, returning the
 // decoded symbol directly.
 func (d *Decoder) DecodeTreeReverse(probs []Prob, nbits uint) uint32 {
-	code, rng := d.code, d.rng
-	in, pos := d.in, d.pos
+	mask := uint32(1)<<nbits - 1
+	probs = probs[:mask+1]
+	code, rng, pos := d.code, d.rng, d.pos
 	node := uint32(1)
 	var sym uint32
 	for i := uint(0); i < nbits; i++ {
-		p := &probs[node]
-		bound := rng >> probBits * uint32(*p)
-		if code < bound {
-			rng = bound
-			*p += (probTotal - *p) >> moveBits
-			node = node << 1
-		} else {
-			code -= bound
-			rng -= bound
-			*p -= *p >> moveBits
-			node = node<<1 | 1
-			sym |= 1 << i
-		}
-		for rng < topValue {
-			var b byte
-			if pos < len(in) {
-				b = in[pos]
-				pos++
-			} else {
-				d.err = ErrTruncated
-			}
-			rng <<= 8
-			code = code<<8 | uint32(b)
-		}
+		var bit uint32
+		code, rng, probs[node&mask], bit = decodeMasked(uint32(probs[node&mask]), code, rng)
+		node = node<<1 | bit
+		sym |= bit << i
+		code, rng, pos = d.refill(code, rng, pos)
 	}
 	d.code, d.rng, d.pos = code, rng, pos
 	return sym
@@ -651,9 +410,7 @@ func (d *Decoder) DecodeDirect(n uint) uint32 {
 		t := 0 - (d.code >> 31) // 0xFFFFFFFF if code went negative
 		d.code += d.rng & t
 		v = v<<1 | (t + 1)
-		if d.rng < topValue {
-			d.normalize()
-		}
+		d.code, d.rng, d.pos = d.refill(d.code, d.rng, d.pos)
 	}
 	return v
 }

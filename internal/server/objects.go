@@ -383,9 +383,8 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ra := container.NewReaderAtIndex(bytes.NewReader(obj.data), obj.index, codec, container.ReaderAtOptions{
-		Limits:  lim,
-		Workers: workers,
-		Cache:   s.chunkCache,
+		Limits: lim,
+		Cache:  s.chunkCache,
 	})
 	rr, err := ra.Range(win.off, win.length)
 	if err != nil {

@@ -73,10 +73,6 @@ type Config struct {
 	// disables tracing entirely (request spans are never created, leaving
 	// only a nil-check per pipeline stage).
 	TraceCapacity int
-	// Advisor tunes POST /v1/compress/auto's codec advisor. The zero value
-	// selects the advisor defaults with the server's own registry as the
-	// candidate set.
-	Advisor advisor.Config
 	// MaxStoreBytes bounds the object tier (PUT /v1/objects/{key}); past it
 	// uploads are refused with 507. 0 selects DefaultMaxStoreBytes.
 	MaxStoreBytes int64
@@ -162,10 +158,9 @@ func New(cfg Config) (*Server, error) {
 		s.codecs[c.Name()] = c
 		s.names = append(s.names, c.Name())
 	}
-	if cfg.Advisor.Codecs == nil {
-		cfg.Advisor.Codecs = cfg.Codecs
-	}
-	adv, err := advisor.New(cfg.Advisor)
+	// POST /v1/compress/auto's advisor runs its defaults over the served
+	// registry.
+	adv, err := advisor.New(advisor.Config{Codecs: cfg.Codecs})
 	if err != nil {
 		return nil, fmt.Errorf("server: advisor: %w", err)
 	}
