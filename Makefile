@@ -3,16 +3,17 @@
 #   make check       gofmt + vet + build + unit tests (the tier-1 gate),
 #                    plus vet and tests of the perfbench benchmark module,
 #                    so a change that breaks the benchmark's build fails
-#                    here; vet covers the e2e-tagged soaks too
+#                    here; vet covers the e2e-tagged soaks and the
+#                    exhaustive-tagged posit sweep too
 #   make race        unit tests under the race detector
 #   make fuzz-smoke  10 s of fuzzing per fuzz target (seeded with
 #                    known-bad frames; catches decode-path panics fast)
 #   make race-twice  the concurrency-sensitive packages (worker pool, chunk
 #                    engine, predictive codecs, positd, the advisor, the
-#                    container and chunk cache, resilience and positgw with
-#                    its chaos soak) under the race detector, run twice:
-#                    the second run sees different goroutine schedules,
-#                    which is what shakes out ordering bugs
+#                    container and the single-flight cache, resilience and
+#                    positgw with its chaos soak) under the race detector,
+#                    run twice: the second run sees different goroutine
+#                    schedules, which is what shakes out ordering bugs
 #   make e2e         the process-level soaks (internal/e2e, build tag
 #                    e2e): builds positd, race-built positd and positgw,
 #                    and positload once, then runs the burst, auto and
@@ -41,12 +42,13 @@ check: vet build test
 # perfbench is its own module (it replaces positbench with ../), so ./...
 # from the root does not reach it. The e2e tag brings internal/e2e into
 # vet, so a change that breaks the soaks fails here; test and race leave
-# that package out. gofmt walks directories, not modules, so it covers
-# perfbench too; any file it lists fails the target.
+# that package out. The exhaustive tag does the same for the posit<32,3>
+# sweep, which only test-exhaustive runs. gofmt walks directories, not
+# modules, so it covers perfbench too; any file it lists fails the target.
 vet:
 	@unformatted=$$(gofmt -l .) || exit 1; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	$(GO) vet -tags e2e ./...
+	$(GO) vet -tags e2e,exhaustive ./...
 	$(GO) -C perfbench vet ./...
 
 build:
@@ -64,9 +66,10 @@ race:
 
 # The concurrency-sensitive packages, twice under the race detector: the
 # worker pool and the chunk engine on it, the predictive codecs'
-# pooled predictor state, positd's streaming handlers, the advisor's
-# single-flight decision cache, the chunk cache's single-flight fills and
-# eviction, and the gateway's retries, hedging, breakers, probes and chaos
+# pooled predictor state, positd's streaming handlers, the one
+# single-flight cache (internal/chunkcache: its fills, ctx-bounded waits and
+# eviction) and its two users, the advisor's decisions and the container's
+# range reads, and the gateway's retries, hedging, breakers, probes and chaos
 # soak are all goroutine choreography, so a second run with different
 # schedules is the cheapest ordering fuzz. The rest of internal/compress/...
 # runs only its stream-layer tests here: a raced pass of the whole tree

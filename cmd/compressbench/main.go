@@ -19,7 +19,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -272,9 +271,12 @@ func runFramed(zName string, dFlag bool, maxOut int64, files []string, stdout io
 		fmt.Fprintf(stdout, "wrote %s: %d -> %d bytes (%s frame)\n", files[1], len(data), len(blob), c.Name())
 		return nil
 	}
-	name, err := container.Identify(data)
+	name, bare, err := container.Sniff(data)
 	if err != nil {
 		return fmt.Errorf("%s: %w", files[0], err)
+	}
+	if !bare {
+		return fmt.Errorf("%s: a chunked stream, not a bare frame; decode it with -ds", files[0])
 	}
 	c, err := all.Get(name)
 	if err != nil {
@@ -338,9 +340,9 @@ func runStream(zsName string, dsFlag bool, chunkSize int, maxOut int64, files []
 	if err != nil {
 		return err
 	}
-	name, err := streamCodecName(data)
+	name, err := sniffStream(files[0], data)
 	if err != nil {
-		return fmt.Errorf("%s: %w", files[0], err)
+		return err
 	}
 	c, err := all.Get(name)
 	if err != nil {
@@ -358,21 +360,17 @@ func runStream(zsName string, dsFlag bool, chunkSize int, maxOut int64, files []
 	return nil
 }
 
-// streamCodecName identifies the codec of a chunked stream from its first
-// frame: uvarint prefix, then a container frame header.
-func streamCodecName(data []byte) (string, error) {
-	length, used := binary.Uvarint(data)
-	if used <= 0 {
-		return "", fmt.Errorf("unreadable stream frame prefix")
-	}
-	if length == 0 {
-		return "", fmt.Errorf("stream opens with its terminator")
-	}
-	h, _, err := container.ParseHeader(data[used:])
+// sniffStream names the codec of the chunked stream data read from path,
+// rejecting a bare frame.
+func sniffStream(path string, data []byte) (string, error) {
+	name, bare, err := container.Sniff(data)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("%s: %w", path, err)
 	}
-	return h.Codec, nil
+	if bare {
+		return "", fmt.Errorf("%s: a bare frame, not a chunked stream; decode it with -d", path)
+	}
+	return name, nil
 }
 
 // runIndexed implements -index and -range over an indexed stream: the
@@ -383,6 +381,10 @@ func runIndexed(indexFlag bool, rangeSpec string, maxOut int64, files []string, 
 		return fmt.Errorf("need an indexed stream path")
 	}
 	data, err := os.ReadFile(files[0])
+	if err != nil {
+		return err
+	}
+	name, err := sniffStream(files[0], data)
 	if err != nil {
 		return err
 	}
@@ -414,10 +416,6 @@ func runIndexed(indexFlag bool, rangeSpec string, maxOut int64, files []string, 
 	}
 	if len(files) != 2 {
 		return fmt.Errorf("need input and output paths for -range")
-	}
-	name, err := streamCodecName(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", files[0], err)
 	}
 	c, err := all.Get(name)
 	if err != nil {

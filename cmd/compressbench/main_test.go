@@ -257,4 +257,19 @@ func TestStreamModes(t *testing.T) {
 	if err := run([]string{"-zs", "gzip", "-ds", orig, back}, &out); err == nil {
 		t.Error("-zs with -ds accepted")
 	}
+
+	// Each decode mode rejects the other layout with a one-line error.
+	frame := filepath.Join(dir, "in.pbcf")
+	if err := run([]string{"-z", "gzip", orig, frame}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-d", stream, back},
+		{"-ds", frame, back},
+		{"-range", "0:10", frame, back},
+	} {
+		if err := run(args, &out); err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%v: err = %v, want a one-line rejection", args, err)
+		}
+	}
 }

@@ -3,8 +3,9 @@
 // structure, trial-compresses it through every candidate codec in parallel
 // (including a shortlist of LC pipelines), and picks the codec — and for
 // LC, the pipeline — for the whole stream. Decisions are cached in a
-// bounded LRU keyed by the sample's content fingerprint, with single-flight
-// de-duplication so concurrent identical streams share one set of trials.
+// bounded single-flight LRU (a chunkcache.Cache) keyed by a hash of the
+// sample, so concurrent identical streams share one set of trials and a
+// repeat stream costs one hash.
 // Every decision carries its evidence (fingerprint features, per-candidate
 // sample ratios, confidence) and is recorded as a span subtree when the
 // caller passes a trace span.
@@ -18,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"positbench/internal/chunkcache"
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
@@ -26,17 +28,18 @@ import (
 	"positbench/internal/trace"
 )
 
-// Defaults for Config zero values.
+// Advisor defaults.
 const (
 	// DefaultSampleBytes is the trial-compression sample budget: large
 	// enough that general-purpose codecs reach steady-state ratios, small
 	// enough that a full candidate sweep costs single-digit milliseconds.
 	DefaultSampleBytes = 64 << 10
-	// DefaultCacheSize bounds the decision LRU.
+	// DefaultCacheSize bounds the decision cache, in decisions.
 	DefaultCacheSize = 256
 	// DefaultCodecName is the fallback codec when trials produce nothing
 	// usable (corrupt sample, every candidate erroring): the registry's
-	// best general-purpose ratio/speed compromise.
+	// best general-purpose ratio/speed compromise. When it is not a
+	// candidate, the first candidate is the fallback.
 	DefaultCodecName = "zstd"
 )
 
@@ -67,12 +70,6 @@ type Config struct {
 	LCPipelines []string
 	// SampleBytes is the sampling budget handed to Sample.
 	SampleBytes int
-	// CacheSize bounds the decision LRU (< 0 disables caching entirely;
-	// single-flight coalescing still applies).
-	CacheSize int
-	// Default names the fallback codec (default DefaultCodecName, or the
-	// first candidate if that name is absent).
-	Default string
 	// Workers bounds concurrent trial compressions per decision (default
 	// GOMAXPROCS).
 	Workers int
@@ -95,12 +92,11 @@ type Advisor struct {
 	sampleBytes int
 	def         candidateSpec
 	workers     int
-	cache       *lruCache
+	cache       *chunkcache.Cache[string, Decision] // keyed by Fingerprint.Key
 
 	decisions atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
+	hits      atomic.Int64 // decisions served resident; the cache counts waits
+	misses    atomic.Int64 // decisions that ran the trials
 	fallbacks atomic.Int64
 	chosen    map[string]*atomic.Int64 // keyed by candidate name, built at New
 }
@@ -123,16 +119,12 @@ func New(cfg Config) (*Advisor, error) {
 		byName:      map[string]bool{},
 		sampleBytes: cfg.SampleBytes,
 		workers:     cfg.Workers,
+		cache:       chunkcache.New[string](DefaultCacheSize, func(Decision) int64 { return 1 }),
 		chosen:      map[string]*atomic.Int64{},
 	}
 	if a.sampleBytes <= 0 {
 		a.sampleBytes = DefaultSampleBytes
 	}
-	size := cfg.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	a.cache = newLRUCache(size)
 
 	for _, c := range codecs {
 		name := c.Name()
@@ -161,21 +153,12 @@ func New(cfg Config) (*Advisor, error) {
 		})
 	}
 
-	defName := cfg.Default
-	if defName == "" {
-		defName = DefaultCodecName
-	}
+	a.def = a.specs[0]
 	for _, s := range a.specs {
-		if s.name == defName {
+		if s.name == DefaultCodecName {
 			a.def = s
 			break
 		}
-	}
-	if a.def.codec == nil {
-		if cfg.Default != "" {
-			return nil, fmt.Errorf("advisor: default codec %q not among candidates %v", cfg.Default, a.names)
-		}
-		a.def = a.specs[0]
 	}
 	return a, nil
 }
@@ -202,7 +185,7 @@ type Candidate struct {
 // Decision sources.
 const (
 	SourceTrial     = "trial"     // this call ran the trials
-	SourceCache     = "cache"     // served from the LRU
+	SourceCache     = "cache"     // served from the decision cache
 	SourceCoalesced = "coalesced" // waited on a concurrent identical trial
 )
 
@@ -231,14 +214,16 @@ type Decision struct {
 // CacheHit reports whether the decision avoided running trials.
 func (d Decision) CacheHit() bool { return d.Source != SourceTrial }
 
-// Decide fingerprints sample (as produced by Sample) under hints and
-// returns the cached or freshly-trialed decision. hints, when non-empty,
-// restrict the candidate set to the named codecs; an unknown hint is the
-// only error path — everything else degrades to the default codec with
-// Fallback set. ctx bounds only the wait on a concurrent identical
-// decision; the trials themselves are sub-millisecond-per-candidate and run
-// to completion. The decision is recorded as an "advise" span subtree under
-// parent.
+// Decide returns the cached or freshly-trialed decision for sample (as
+// produced by Sample) under hints. It hashes the sample into the cache key
+// first; only the call that runs the trials computes the fingerprint
+// features, and a cached or coalesced decision carries that call's. hints,
+// when non-empty, restrict the candidate set to the named codecs; an
+// unknown hint is the only error path — everything else degrades to the
+// default codec with Fallback set. ctx bounds only the wait on a
+// concurrent identical decision; the trials themselves are
+// sub-millisecond-per-candidate and run to completion. The decision is
+// recorded as an "advise" span subtree under parent.
 func (a *Advisor) Decide(ctx context.Context, sample []byte, hints []string, parent *trace.Span) (Decision, error) {
 	sp := parent.Child("advise")
 	defer sp.End()
@@ -251,28 +236,31 @@ func (a *Advisor) Decide(ctx context.Context, sample []byte, hints []string, par
 		}
 	}
 
+	// The one "fingerprint" stage times the key hash, plus the features
+	// when this call runs the trials. A waiter records it when its wait
+	// ends.
 	t0 := time.Now()
-	fp := fingerprintSample(sample, norm)
-	sp.AddStage("fingerprint", time.Since(t0), int64(len(sample)), 0)
-
-	dec, hit, f, leader := a.cache.lookup(fp.Key)
-	switch {
-	case hit:
+	key := sampleKey(sample, norm)
+	hashed := time.Since(t0)
+	dec, src, err := a.cache.Get(ctx, key, func() (Decision, error) {
+		a.misses.Add(1)
+		t1 := time.Now()
+		fp := fingerprintSample(sample, key)
+		sp.AddStage("fingerprint", hashed+time.Since(t1), int64(len(sample)), 0)
+		return a.trial(sample, norm, fp, sp), nil
+	})
+	if src != chunkcache.Filled {
+		sp.AddStage("fingerprint", hashed, int64(len(sample)), 0)
+	}
+	if err != nil {
+		return Decision{}, err
+	}
+	switch src {
+	case chunkcache.Hit:
 		a.hits.Add(1)
 		dec.Source = SourceCache
-	case !leader:
-		a.coalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return Decision{}, ctx.Err()
-		}
-		dec = f.dec
+	case chunkcache.Coalesced:
 		dec.Source = SourceCoalesced
-	default:
-		a.misses.Add(1)
-		dec = a.trial(sample, norm, fp, sp)
-		a.cache.finish(fp.Key, f, dec)
 	}
 
 	a.decisions.Add(1)
@@ -430,15 +418,17 @@ type Stats struct {
 
 // Stats snapshots the advisor's counters.
 func (a *Advisor) Stats() Stats {
+	cs := a.cache.Snapshot()
 	st := Stats{
 		Decisions:   a.decisions.Load(),
 		CacheHits:   a.hits.Load(),
 		CacheMisses: a.misses.Load(),
-		Coalesced:   a.coalesced.Load(),
+		Coalesced:   cs.Coalesced,
+		Evictions:   cs.Evictions,
 		Fallbacks:   a.fallbacks.Load(),
+		CacheLen:    int(cs.Entries),
 		Chosen:      map[string]int64{},
 	}
-	st.CacheLen, st.Evictions = a.cache.stats()
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		st.HitRatePct = 100 * float64(st.CacheHits) / float64(lookups)
 	}

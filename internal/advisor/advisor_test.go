@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"positbench/internal/chunkcache"
 	"positbench/internal/compress"
 	"positbench/internal/trace"
 )
@@ -166,10 +167,11 @@ func TestDecideLCHint(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	a, err := New(Config{CacheSize: 2})
+	a, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.cache = chunkcache.New[string](2, func(Decision) int64 { return 1 })
 	samples := [][]byte{
 		Sample(waveBytes(1<<12, 0), 0),
 		Sample(waveBytes(1<<12, 10), 0),
@@ -218,7 +220,7 @@ func (g *gateCodec) Decompress(comp []byte) ([]byte, error) {
 
 func TestSingleFlight(t *testing.T) {
 	gc := &gateCodec{gate: make(chan struct{})}
-	a, err := New(Config{Codecs: []compress.Codec{gc}, LCPipelines: []string{}, Default: "gate"})
+	a, err := New(Config{Codecs: []compress.Codec{gc}, LCPipelines: []string{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +267,82 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestDecideWaitHonoursCtx: a Decide waiting on a concurrent identical
+// decision stops when its ctx ends, without counting as a decision, and the
+// leader's decision is cached once its trials finish.
+func TestDecideWaitHonoursCtx(t *testing.T) {
+	gc := &gateCodec{gate: make(chan struct{})}
+	a, err := New(Config{Codecs: []compress.Codec{gc}, LCPipelines: []string{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		select {
+		case <-gc.gate:
+		default:
+			close(gc.gate) // let the leader finish if a check failed early
+		}
+	}()
+	sample := waveBytes(1<<10, 0)
+	leader := make(chan error, 1)
+	go func() {
+		_, err := a.Decide(context.Background(), sample, nil, nil)
+		leader <- err
+	}()
+	// The leader is parked inside Compress once the trial has started.
+	deadline := time.After(5 * time.Second)
+	for a.Stats().CacheMisses != 1 {
+		select {
+		case <-deadline:
+			t.Fatal("leader never started its trial")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := a.Decide(ctx, sample, nil, nil)
+		waiter <- err
+	}()
+	for a.Stats().Coalesced != 1 {
+		select {
+		case <-deadline:
+			t.Fatal("second Decide never coalesced onto the leader's trial")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	// A waiter that ignores its ctx would park until the gate opens, which
+	// only happens after this bound: it fails here instead of hanging.
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-deadline:
+		t.Fatal("cancelled Decide still waiting on the parked trial")
+	}
+	if st := a.Stats(); st.Decisions != 0 || st.CacheHits != 0 {
+		t.Fatalf("cancelled wait counted: %+v", st)
+	}
+
+	close(gc.gate)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	d, err := a.Decide(context.Background(), sample, nil, nil)
+	if err != nil || d.Source != SourceCache || d.Codec != "gate" {
+		t.Fatalf("after the trial: %+v, %v; want the leader's decision from cache", d, err)
+	}
+	if gc.calls != 1 {
+		t.Fatalf("%d trial compressions, want 1", gc.calls)
+	}
+	if st := a.Stats(); st.Decisions != 2 || st.CacheHits != 1 || st.CacheMisses != 1 || st.Coalesced != 1 {
+		t.Fatalf("stats = %+v, want 2 decisions: 1 hit, 1 miss, 1 coalesced wait", st)
+	}
+}
+
 // faultCodec fails every compression, either by error or by panic —
 // standing in for a codec facing a sample it cannot digest.
 type faultCodec struct {
@@ -287,7 +365,6 @@ func TestFallbackOnCorruptSample(t *testing.T) {
 	a, err := New(Config{
 		Codecs:      []compress.Codec{&faultCodec{name: "erroring"}, &faultCodec{name: "panicking", panics: true}},
 		LCPipelines: []string{},
-		Default:     "erroring",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +453,7 @@ func TestFingerprintFeatures(t *testing.T) {
 	// A constant stream: zero exponent entropy, zero sign flips, maximal
 	// block repetition.
 	constant := bytes.Repeat(waveBytes(1, 0), 4096)
-	fp := fingerprintSample(constant, nil)
+	fp := fingerprintSample(constant, "")
 	if fp.ExpEntropy != 0 {
 		t.Fatalf("constant stream ExpEntropy = %f, want 0", fp.ExpEntropy)
 	}
@@ -392,24 +469,24 @@ func TestFingerprintFeatures(t *testing.T) {
 
 	// A NaN-saturated stream is not float-like.
 	nan := bytes.Repeat([]byte{0xFF, 0xFF, 0xFF, 0x7F}, 1024)
-	if fp := fingerprintSample(nan, nil); fp.FloatLike {
+	if fp := fingerprintSample(nan, ""); fp.FloatLike {
 		t.Fatal("all-NaN stream should not be FloatLike")
 	}
 
 	// Wave data exercises the entropy features without degenerating.
-	fp = fingerprintSample(waveBytes(4096, 0), nil)
+	fp = fingerprintSample(waveBytes(4096, 0), "")
 	if fp.ExpEntropy <= 0 || fp.MantDeltaEntropy <= 0 {
 		t.Fatalf("wave entropies should be positive: %+v", fp)
 	}
 
 	// Hints split the key; hint order and case do not.
 	data := waveBytes(64, 0)
-	base := fingerprintSample(data, nil).Key
-	hinted := fingerprintSample(data, []string{"gzip", "zstd"}).Key
+	base := sampleKey(data, nil)
+	hinted := sampleKey(data, normalizeHints([]string{"gzip", "zstd"}))
 	if base == hinted {
 		t.Fatal("hints must split the cache key")
 	}
-	reordered := fingerprintSample(data, []string{"ZSTD", " gzip "}).Key
+	reordered := sampleKey(data, normalizeHints([]string{"ZSTD", " gzip "}))
 	if hinted != reordered {
 		t.Fatalf("hint normalization failed: %q vs %q", hinted, reordered)
 	}
@@ -436,13 +513,33 @@ func TestCodecForRegistry(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Default: "nope"}); err == nil {
-		t.Fatal("unknown default codec should error")
-	}
 	if _, err := New(Config{LCPipelines: []string{"NOT|A|PIPE"}}); err == nil {
 		t.Fatal("bad lc pipeline should error")
 	}
 	if _, err := New(Config{Codecs: []compress.Codec{}, LCPipelines: []string{}}); err == nil {
 		t.Fatal("no candidates should error")
+	}
+}
+
+// BenchmarkDecideHit times a cache-hit Decide on a 48 KiB sample, the mean
+// auto body of perfbench's ingest workload: the key hash and the lookup,
+// with no feature pass.
+func BenchmarkDecideHit(b *testing.B) {
+	a, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sample := waveBytes(12<<10, 0)
+	if _, err := a.Decide(context.Background(), sample, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(sample)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := a.Decide(context.Background(), sample, nil, nil)
+		if err != nil || d.Source != SourceCache {
+			b.Fatalf("source %s, err %v; want a cache hit", d.Source, err)
+		}
 	}
 }

@@ -94,16 +94,22 @@ func Sample(data []byte, budget int) []byte {
 	return out
 }
 
-// fingerprintSample computes the fingerprint of sample under hints.
-func fingerprintSample(sample []byte, hints []string) Fingerprint {
-	fp := Fingerprint{SampleLen: len(sample)}
-
+// sampleKey is the decision-cache key of sample under the normalized
+// hints: FNV-1a over the sample, its length, and the hints.
+func sampleKey(sample []byte, norm []string) string {
 	h := fnv.New64a()
 	h.Write(sample)
-	fp.Key = fmt.Sprintf("%016x-%d", h.Sum64(), len(sample))
-	if norm := normalizeHints(hints); len(norm) > 0 {
-		fp.Key += "|" + strings.Join(norm, ",")
+	key := fmt.Sprintf("%016x-%d", h.Sum64(), len(sample))
+	if len(norm) > 0 {
+		key += "|" + strings.Join(norm, ",")
 	}
+	return key
+}
+
+// fingerprintSample computes the features of sample, whose cache key is
+// key.
+func fingerprintSample(sample []byte, key string) Fingerprint {
+	fp := Fingerprint{Key: key, SampleLen: len(sample)}
 
 	words := len(sample) / 4
 	if words == 0 {

@@ -1,19 +1,25 @@
-// Package chunkcache is a bounded, content-addressed cache for decoded
-// chunks. Keys are derived from the compressed chunk's content (hash plus
-// the frame CRC and raw length pinned alongside it by the container layer),
-// so identical compressed chunks — across objects, across requests — share
-// one decode and one resident copy. Fills are single-flight: under N
-// concurrent readers of the same key exactly one runs the decode and the
-// rest wait for it; a failed fill is handed to every waiter and never
-// cached. Eviction is LRU over resident bytes.
+// Package chunkcache is the bounded single-flight LRU cache. A Cache is
+// bounded by the summed cost of its resident values, and its one lookup,
+// Get, runs a missing key's fill at most once across concurrent callers:
+// the rest wait for it, and a failed fill is handed to every waiter and
+// never cached. Eviction is least recently used first.
+//
+// It has two instances. positd's decoded-chunk cache costs each value its
+// length in bytes and keys it by Key, which is derived from the compressed
+// chunk's content (hash plus the frame CRC and raw length pinned alongside
+// it by the container layer), so identical compressed chunks — across
+// objects, across requests — share one decode and one resident copy. The
+// advisor's decision cache costs each decision 1, so its bound is an entry
+// count.
 package chunkcache
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
 
-// KeyLen is the cache key width: a 16-byte truncated content hash plus the
+// KeyLen is the chunk key width: a 16-byte truncated content hash plus the
 // 4-byte CRC-32C and 4-byte raw length of the chunk it names. Folding the
 // CRC and length into the key (rather than trusting the hash alone) means
 // an index trailer that forges someone else's chunk hash cannot pull bytes
@@ -24,28 +30,45 @@ const KeyLen = 24
 // Key identifies one decoded chunk by its compressed content.
 type Key [KeyLen]byte
 
+// Bytes is the decoded-chunk cost: the chunk's length.
+func Bytes(b []byte) int64 { return int64(len(b)) }
+
+// Source says how Get obtained its value.
+type Source int
+
+const (
+	// Hit: the value was resident.
+	Hit Source = iota
+	// Filled: this call ran the fill.
+	Filled
+	// Coalesced: this call waited on a concurrent call's fill.
+	Coalesced
+)
+
 // entry is one cache slot. Between insertion and fill completion it sits in
 // the map but not the LRU list (resident == false); waiters block on ready.
-// Cached data is shared by reference — callers must treat it as read-only.
-type entry struct {
-	key      Key
-	data     []byte
+// Cached values are shared — callers must treat them as read-only.
+type entry[K comparable, V any] struct {
+	key      K
+	val      V
+	cost     int64
 	err      error
-	ready    chan struct{} // closed when data/err is resolved
+	ready    chan struct{} // closed when val/err is resolved
 	resident bool
-	prev     *entry
-	next     *entry
+	prev     *entry[K, V]
+	next     *entry[K, V]
 }
 
-// Cache is a bounded content-addressed chunk cache. The zero value is not
+// Cache is a bounded single-flight LRU cache. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
-type Cache struct {
+type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	maxByte int64
-	entries map[Key]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used; eviction end
-	bytes   int64
+	maxCost int64
+	costOf  func(V) int64
+	entries map[K]*entry[K, V]
+	head    *entry[K, V] // most recently used
+	tail    *entry[K, V] // least recently used; eviction end
+	cost    int64
 	count   int64
 
 	lookups    atomic.Int64
@@ -56,21 +79,26 @@ type Cache struct {
 	fillErrors atomic.Int64
 }
 
-// New returns a cache bounding resident decoded bytes at maxBytes.
-// maxBytes <= 0 yields a cache that admits nothing but still coalesces
-// concurrent fills of the same key.
-func New(maxBytes int64) *Cache {
-	return &Cache{maxByte: maxBytes, entries: make(map[Key]*entry)}
+// New returns a cache bounding the summed cost of its resident values at
+// maxCost, where cost prices one value. maxCost <= 0 yields a cache that
+// admits nothing but still coalesces concurrent fills of the same key.
+func New[K comparable, V any](maxCost int64, cost func(V) int64) *Cache[K, V] {
+	return &Cache[K, V]{maxCost: maxCost, costOf: cost, entries: make(map[K]*entry[K, V])}
 }
 
-// GetOrFill returns the decoded chunk for key, running fill at most once
-// per key across concurrent callers. The second return reports whether the
-// bytes came out of the cache (true) or from a fill this call led or waited
-// on (false for the leader, true for coalesced waiters — they did not
-// decode). A fill error is returned to the leader and every waiter, and the
-// key is forgotten: a poisoned chunk is never cached and the next lookup
-// retries. The returned slice is shared — callers must not mutate it.
-func (c *Cache) GetOrFill(key Key, fill func() ([]byte, error)) ([]byte, bool, error) {
+// Get returns the value for key, running fill at most once per key across
+// concurrent callers, and reports where the value came from. A fill error
+// is returned to the leader and every waiter, and the key is forgotten: a
+// poisoned value is never cached and the next lookup retries. ctx bounds
+// only the wait on another call's fill: a waiter whose ctx ends returns
+// ctx.Err() with source Coalesced, and the fill runs on to completion. The
+// returned value is shared — callers must not mutate it.
+//
+// Counters: every call is one lookup and resolves as exactly one hit or
+// miss. A waiter counts as coalesced when its wait starts, then as a hit,
+// or as a miss when the fill fails or its ctx ends.
+func (c *Cache[K, V]) Get(ctx context.Context, key K, fill func() (V, error)) (V, Source, error) {
+	var zero V
 	c.lookups.Add(1)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -78,25 +106,34 @@ func (c *Cache) GetOrFill(key Key, fill func() ([]byte, error)) ([]byte, bool, e
 			c.moveToFront(e)
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return e.data, true, nil
+			return e.val, Hit, nil
 		}
 		// A fill for this key is in flight; wait for it outside the lock.
 		c.mu.Unlock()
 		c.coalesced.Add(1)
-		<-e.ready
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			c.misses.Add(1)
+			return zero, Coalesced, ctx.Err()
+		}
 		if e.err != nil {
 			c.misses.Add(1)
-			return nil, false, e.err
+			return zero, Coalesced, e.err
 		}
 		c.hits.Add(1)
-		return e.data, true, nil
+		return e.val, Coalesced, nil
 	}
-	e := &entry{key: key, ready: make(chan struct{})}
+	e := &entry[K, V]{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	data, err := fill()
+	val, err := fill()
+	if err == nil {
+		// Priced outside the lock: cost is caller-supplied code.
+		e.val, e.cost = val, c.costOf(val)
+	}
 	c.mu.Lock()
 	if err != nil {
 		delete(c.entries, key)
@@ -104,41 +141,40 @@ func (c *Cache) GetOrFill(key Key, fill func() ([]byte, error)) ([]byte, bool, e
 		c.mu.Unlock()
 		close(e.ready)
 		c.fillErrors.Add(1)
-		return nil, false, err
+		return zero, Filled, err
 	}
-	e.data = data
-	if int64(len(data)) <= c.maxByte {
+	if e.cost <= c.maxCost {
 		e.resident = true
 		c.pushFront(e)
-		c.bytes += int64(len(data))
+		c.cost += e.cost
 		c.count++
 		c.evictLocked()
 	} else {
-		// Larger than the whole budget: hand it to the caller (and any
-		// waiters) but do not admit it — one oversized chunk must not wipe
+		// Costlier than the whole budget: hand it to the caller (and any
+		// waiters) but do not admit it — one oversized value must not wipe
 		// the working set.
 		delete(c.entries, key)
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return data, false, nil
+	return val, Filled, nil
 }
 
-// evictLocked drops least-recently-used resident entries until the byte
-// bound holds. Waiters that already hold a reference keep their slice; only
-// the cache's accounting lets go.
-func (c *Cache) evictLocked() {
-	for c.bytes > c.maxByte && c.tail != nil {
+// evictLocked drops least-recently-used resident entries until the cost
+// bound holds. Waiters that already hold a reference keep their value;
+// only the cache's accounting lets go.
+func (c *Cache[K, V]) evictLocked() {
+	for c.cost > c.maxCost && c.tail != nil {
 		e := c.tail
 		c.unlink(e)
 		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.data))
+		c.cost -= e.cost
 		c.count--
 		c.evictions.Add(1)
 	}
 }
 
-func (c *Cache) pushFront(e *entry) {
+func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -150,7 +186,7 @@ func (c *Cache) pushFront(e *entry) {
 	}
 }
 
-func (c *Cache) unlink(e *entry) {
+func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -164,7 +200,7 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) moveToFront(e *entry) {
+func (c *Cache[K, V]) moveToFront(e *entry[K, V]) {
 	if c.head == e {
 		return
 	}
@@ -174,8 +210,9 @@ func (c *Cache) moveToFront(e *entry) {
 
 // Stats is one consistent-enough snapshot of the cache counters. The
 // invariants the property tests pin: Hits+Misses == Lookups (every lookup
-// resolves as exactly one of the two), and Bytes == the byte sum of the
-// resident entries.
+// resolves as exactly one of the two), and Bytes == the summed cost of the
+// resident entries (their bytes in the chunk cache, their count in the
+// advisor's).
 type Stats struct {
 	Lookups    int64 `json:"lookups"`
 	Hits       int64 `json:"hits"`
@@ -189,9 +226,9 @@ type Stats struct {
 }
 
 // Snapshot reads the current counter values.
-func (c *Cache) Snapshot() Stats {
+func (c *Cache[K, V]) Snapshot() Stats {
 	c.mu.Lock()
-	entries, bytes := c.count, c.bytes
+	entries, cost := c.count, c.cost
 	c.mu.Unlock()
 	return Stats{
 		Lookups:    c.lookups.Load(),
@@ -201,7 +238,7 @@ func (c *Cache) Snapshot() Stats {
 		Evictions:  c.evictions.Load(),
 		FillErrors: c.fillErrors.Load(),
 		Entries:    entries,
-		Bytes:      bytes,
-		MaxBytes:   c.maxByte,
+		Bytes:      cost,
+		MaxBytes:   c.maxCost,
 	}
 }

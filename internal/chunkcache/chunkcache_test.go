@@ -2,11 +2,13 @@ package chunkcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func key(b byte) Key {
@@ -15,11 +17,17 @@ func key(b byte) Key {
 	return k
 }
 
+// newChunks returns a decoded-chunk cache bounded at max bytes, as positd
+// builds it.
+func newChunks(max int64) *Cache[Key, []byte] { return New[Key](max, Bytes) }
+
+var bg = context.Background()
+
 // TestSingleFlight pins the single-flight property under the bar the issue
 // sets: 32 concurrent readers of one key run exactly one fill, and all 32
 // get the same bytes.
 func TestSingleFlight(t *testing.T) {
-	c := New(1 << 20)
+	c := newChunks(1 << 20)
 	var fills atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -31,7 +39,7 @@ func TestSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			outs[i], _, errs[i] = c.GetOrFill(key(1), func() ([]byte, error) {
+			outs[i], _, errs[i] = c.Get(bg, key(1), func() ([]byte, error) {
 				fills.Add(1)
 				return []byte("decoded-chunk"), nil
 			})
@@ -60,10 +68,10 @@ func TestSingleFlight(t *testing.T) {
 // after every insertion, with exact byte accounting.
 func TestEvictionByteBound(t *testing.T) {
 	const max = 10 * 100
-	c := New(max)
+	c := newChunks(max)
 	for i := 0; i < 25; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, 100)
-		if _, _, err := c.GetOrFill(key(byte(i)), func() ([]byte, error) { return data, nil }); err != nil {
+		if _, _, err := c.Get(bg, key(byte(i)), func() ([]byte, error) { return data, nil }); err != nil {
 			t.Fatal(err)
 		}
 		st := c.Snapshot()
@@ -86,23 +94,23 @@ func TestEvictionByteBound(t *testing.T) {
 // TestLRUOrder: touching an entry protects it; the least recently used one
 // goes first.
 func TestLRUOrder(t *testing.T) {
-	c := New(300)
+	c := newChunks(300)
 	fill := func(b byte) func() ([]byte, error) {
 		return func() ([]byte, error) { return bytes.Repeat([]byte{b}, 100), nil }
 	}
 	for _, b := range []byte{1, 2, 3} {
-		c.GetOrFill(key(b), fill(b))
+		c.Get(bg, key(b), fill(b))
 	}
-	if _, hit, _ := c.GetOrFill(key(1), fill(1)); !hit { // 1 becomes MRU
+	if _, src, _ := c.Get(bg, key(1), fill(1)); src != Hit { // 1 becomes MRU
 		t.Fatal("expected hit on resident key 1")
 	}
-	c.GetOrFill(key(4), fill(4)) // evicts 2, the LRU
-	if _, hit, _ := c.GetOrFill(key(2), fill(2)); hit {
+	c.Get(bg, key(4), fill(4)) // evicts 2, the LRU
+	if _, src, _ := c.Get(bg, key(2), fill(2)); src != Filled {
 		t.Fatal("key 2 should have been evicted")
 	}
 	// Probing 2 above refilled it, evicting 3 in turn; 1 must still be
 	// resident.
-	if _, hit, _ := c.GetOrFill(key(1), fill(1)); !hit {
+	if _, src, _ := c.Get(bg, key(1), fill(1)); src != Hit {
 		t.Fatal("recently used key 1 was evicted out of order")
 	}
 }
@@ -111,7 +119,7 @@ func TestLRUOrder(t *testing.T) {
 // leader and every coalesced waiter, and the key is forgotten — the next
 // lookup re-runs the fill.
 func TestPoisonedFillNeverCached(t *testing.T) {
-	c := New(1 << 20)
+	c := newChunks(1 << 20)
 	poison := errors.New("bit rot")
 	var fills atomic.Int64
 	filling := make(chan struct{})
@@ -121,7 +129,7 @@ func TestPoisonedFillNeverCached(t *testing.T) {
 	wg.Add(1)
 	go func() { // the leader: its fill blocks until every waiter has arrived
 		defer wg.Done()
-		_, _, errs[0] = c.GetOrFill(key(9), func() ([]byte, error) {
+		_, _, errs[0] = c.Get(bg, key(9), func() ([]byte, error) {
 			fills.Add(1)
 			close(filling)
 			<-release
@@ -134,7 +142,7 @@ func TestPoisonedFillNeverCached(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, errs[i] = c.GetOrFill(key(9), func() ([]byte, error) {
+			_, _, errs[i] = c.Get(bg, key(9), func() ([]byte, error) {
 				fills.Add(1)
 				return nil, poison
 			})
@@ -158,12 +166,12 @@ func TestPoisonedFillNeverCached(t *testing.T) {
 		t.Fatalf("poisoned fill left %d entries / %d bytes resident", st.Entries, st.Bytes)
 	}
 	// The key was forgotten: a retry runs the fill again and can succeed.
-	out, hit, err := c.GetOrFill(key(9), func() ([]byte, error) {
+	out, src, err := c.Get(bg, key(9), func() ([]byte, error) {
 		fills.Add(1)
 		return []byte("ok"), nil
 	})
-	if err != nil || hit || string(out) != "ok" {
-		t.Fatalf("retry after poison: %q, hit=%v, %v", out, hit, err)
+	if err != nil || src != Filled || string(out) != "ok" {
+		t.Fatalf("retry after poison: %q, source %d, %v", out, src, err)
 	}
 	if fills.Load() != 2 {
 		t.Fatalf("retry did not re-run the fill")
@@ -176,12 +184,12 @@ func TestPoisonedFillNeverCached(t *testing.T) {
 // TestOversizedNeverAdmitted: a chunk bigger than the whole budget is
 // returned but not cached.
 func TestOversizedNeverAdmitted(t *testing.T) {
-	c := New(100)
+	c := newChunks(100)
 	big := bytes.Repeat([]byte{7}, 200)
 	for i := 0; i < 2; i++ {
-		out, hit, err := c.GetOrFill(key(5), func() ([]byte, error) { return big, nil })
-		if err != nil || hit || !bytes.Equal(out, big) {
-			t.Fatalf("attempt %d: hit=%v err=%v", i, hit, err)
+		out, src, err := c.Get(bg, key(5), func() ([]byte, error) { return big, nil })
+		if err != nil || src != Filled || !bytes.Equal(out, big) {
+			t.Fatalf("attempt %d: source %d, err %v", i, src, err)
 		}
 	}
 	if st := c.Snapshot(); st.Entries != 0 || st.Bytes != 0 {
@@ -196,7 +204,7 @@ func TestOversizedNeverAdmitted(t *testing.T) {
 // multiple of it and within the bound).
 func TestStatsReconcileUnderContention(t *testing.T) {
 	const chunkBytes = 64
-	c := New(8 * chunkBytes)
+	c := newChunks(8 * chunkBytes)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		g := g
@@ -205,7 +213,7 @@ func TestStatsReconcileUnderContention(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := byte((g + i) % 24)
-				data, _, err := c.GetOrFill(key(k), func() ([]byte, error) {
+				data, _, err := c.Get(bg, key(k), func() ([]byte, error) {
 					if k%11 == 10 {
 						return nil, fmt.Errorf("poisoned key %d", k)
 					}
@@ -234,5 +242,81 @@ func TestStatsReconcileUnderContention(t *testing.T) {
 	}
 	if st.FillErrors == 0 {
 		t.Fatal("expected some poisoned fills in the mix")
+	}
+}
+
+// TestCoalescedWaitHonoursCtx: a waiter whose ctx ends stops waiting on a
+// parked fill and returns ctx.Err() as a coalesced miss, while the fill
+// runs on and lands in the cache.
+func TestCoalescedWaitHonoursCtx(t *testing.T) {
+	c := newChunks(1 << 20)
+	filling := make(chan struct{})
+	gate := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get(bg, key(3), func() ([]byte, error) {
+			close(filling)
+			<-gate
+			return []byte("late"), nil
+		})
+		leader <- err
+	}()
+	<-filling
+	defer func() {
+		select {
+		case <-gate:
+		default:
+			close(gate) // let the leader finish if a check failed early
+		}
+	}()
+
+	// A waiter that ignores its ctx would park until the gate opens, which
+	// only happens after this bound: it fails here instead of hanging.
+	ctx, cancel := context.WithCancel(bg)
+	waiter := make(chan error, 1)
+	var src Source
+	go func() {
+		var err error
+		_, src, err = c.Get(ctx, key(3), func() ([]byte, error) {
+			t.Error("waiter ran a second fill")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	deadline := time.After(5 * time.Second)
+	for c.Snapshot().Coalesced < 1 {
+		select {
+		case <-deadline:
+			t.Fatal("second Get never coalesced onto the parked fill")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) || src != Coalesced {
+			t.Fatalf("cancelled waiter: source %d, err %v; want Coalesced, context.Canceled", src, err)
+		}
+	case <-deadline:
+		t.Fatal("cancelled waiter still waiting on the parked fill")
+	}
+	st := c.Snapshot()
+	if st.Coalesced != 1 || st.Misses != 2 || st.Hits+st.Misses != st.Lookups {
+		t.Fatalf("after the cancelled wait: %+v, want 1 coalesced and 2 misses of 2 lookups", st)
+	}
+
+	close(gate)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	out, src, err := c.Get(bg, key(3), func() ([]byte, error) {
+		t.Error("resident key filled again")
+		return nil, nil
+	})
+	if err != nil || src != Hit || string(out) != "late" {
+		t.Fatalf("after the fill: %q, source %d, %v; want the leader's value as a hit", out, src, err)
+	}
+	if st := c.Snapshot(); st.Hits+st.Misses != st.Lookups || st.Entries != 1 {
+		t.Fatalf("stats after the hit: %+v", st)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"positbench/internal/compress/xzc"
 	"positbench/internal/compress/zstdc"
 	"positbench/internal/container"
-	"positbench/internal/positpack"
 	"positbench/internal/predict"
 )
 
@@ -39,7 +38,7 @@ func Raw() []compress.Codec {
 		xzc.New(),
 		zstdc.New(),
 		predict.New(),
-		positpack.NewV2(),
+		predict.NewPosit(),
 	}
 }
 

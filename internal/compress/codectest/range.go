@@ -145,7 +145,7 @@ func RangeEquivalence(t *testing.T, c compress.Codec) {
 		}
 	})
 	t.Run("CachedReplay", func(t *testing.T) {
-		cache := chunkcache.New(1 << 20)
+		cache := chunkcache.New[chunkcache.Key](1<<20, chunkcache.Bytes)
 		cra := container.NewReaderAtIndex(bytes.NewReader(stream), ra.Index(), c, container.ReaderAtOptions{Limits: lim, Cache: cache})
 		for pass := 0; pass < 2; pass++ {
 			for _, win := range windows {

@@ -165,12 +165,37 @@ func VerifyOutput(h Header, out []byte) error {
 	return nil
 }
 
-// Identify returns the codec name of a frame without validating the
-// payload; cmd tools use it to route a file to the right decoder.
-func Identify(frame []byte) (string, error) {
-	h, _, err := Decode(frame)
-	if err != nil && h.Codec == "" {
-		return "", err
+// SniffLen is how many leading bytes Sniff needs: a chunked stream's
+// uvarint frame length plus a maximal frame header.
+const SniffLen = binary.MaxVarintLen64 + MaxHeaderLen
+
+// Sniff identifies the codec of compressed bytes from their first SniffLen
+// bytes (fewer when the input is shorter), without validating the payload,
+// so a caller can route a body or file to the right decoder before
+// committing any decode resources. Bytes opening with the magic are a bare
+// frame (bare is true); otherwise they are a chunked stream, which opens
+// with a uvarint frame length followed by the first chunk's frame. Empty
+// input and a stream that opens with its terminator are ErrTruncated, an
+// unreadable frame length is ErrCorrupt, and a bad header fails as
+// ParseHeader does.
+func Sniff(prefix []byte) (codec string, bare bool, err error) {
+	if len(prefix) == 0 {
+		return "", false, compress.Errorf(compress.ErrTruncated, "container: empty input")
 	}
-	return h.Codec, nil
+	bare = len(prefix) >= len(Magic) && [4]byte(prefix) == Magic
+	if !bare {
+		length, used := binary.Uvarint(prefix)
+		if used <= 0 {
+			return "", false, compress.Errorf(compress.ErrCorrupt, "container: unreadable stream frame prefix")
+		}
+		if length == 0 {
+			return "", false, compress.Errorf(compress.ErrTruncated, "container: stream opens with its terminator")
+		}
+		prefix = prefix[used:]
+	}
+	h, _, err := ParseHeader(prefix)
+	if err != nil {
+		return "", false, err
+	}
+	return h.Codec, bare, nil
 }

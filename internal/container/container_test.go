@@ -89,14 +89,55 @@ func TestWrongCodecName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := Identify(frame)
-	if err != nil || name != "stub" {
-		t.Fatalf("Identify: %q, %v", name, err)
+	name, bare, err := Sniff(frame)
+	if err != nil || name != "stub" || !bare {
+		t.Fatalf("Sniff: %q, bare %v, %v", name, bare, err)
 	}
 	// A frame for codec "stub" handed to a differently-named decoder.
 	other := Wrap(passthroughNamed{"other"})
 	if _, err := other.Decompress(frame); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("cross-codec decode: %v", err)
+	}
+}
+
+// TestSniff covers every way Sniff routes or rejects a prefix: a bare
+// frame, a chunked stream (whole, and cut to SniffLen), and each error
+// class.
+func TestSniff(t *testing.T) {
+	frame, err := Wrap(stub{}).Compress([]byte("data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _ := buildIndexed(t, Wrap(stub{}), patternData(4096), 1024)
+	cases := []struct {
+		name    string
+		prefix  []byte
+		bare    bool
+		wantErr error
+	}{
+		{"BareFrame", frame, true, nil},
+		{"Stream", stream, false, nil},
+		{"StreamSniffLen", stream[:SniffLen], false, nil},
+		{"Empty", nil, false, compress.ErrTruncated},
+		{"TerminatorFirst", []byte{0, 'P', 'B', 'C', 'F'}, false, compress.ErrTruncated},
+		{"OverlongUvarint", bytes.Repeat([]byte{0xFF}, 11), false, compress.ErrCorrupt},
+		{"CutFrameHeader", frame[:7], false, compress.ErrTruncated},
+		{"CutStreamHeader", stream[:4], false, compress.ErrTruncated},
+		{"BadMagicAfterLength", []byte{9, 'X', 'B', 'C', 'F', 1}, false, compress.ErrBadMagic},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			name, bare, err := Sniff(tc.prefix)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) || name != "" || bare {
+					t.Fatalf("Sniff = %q, bare %v, %v; want %v", name, bare, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || name != "stub" || bare != tc.bare {
+				t.Fatalf("Sniff = %q, bare %v, %v; want stub, bare %v", name, bare, err, tc.bare)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -22,7 +23,7 @@ type ReaderAtOptions struct {
 	Limits compress.DecodeLimits
 	// Cache, when non-nil, memoizes decoded chunks content-addressed by
 	// the trailer's chunk hash (pinned by CRC and raw length).
-	Cache *chunkcache.Cache
+	Cache *chunkcache.Cache[chunkcache.Key, []byte]
 }
 
 // ReaderAt provides random access into an indexed stream. It is safe for
@@ -82,7 +83,8 @@ func (r *ReaderAt) chunk(i int) (data []byte, cached bool, err error) {
 		return out, nil
 	}
 	if r.opt.Cache != nil {
-		return r.opt.Cache.GetOrFill(ref.CacheKey(), fill)
+		data, src, err := r.opt.Cache.Get(context.Background(), ref.CacheKey(), fill)
+		return data, src != chunkcache.Filled, err
 	}
 	data, err = fill()
 	return data, false, err

@@ -197,7 +197,7 @@ func TestReaderAtConcurrent(t *testing.T) {
 	const chunk = 2 << 10
 	data := patternData(16 * chunk)
 	stream, _ := buildIndexed(t, c, data, chunk)
-	cache := chunkcache.New(1 << 20)
+	cache := chunkcache.New[chunkcache.Key](1<<20, chunkcache.Bytes)
 	ra, err := NewReaderAt(bytes.NewReader(stream), int64(len(stream)), c, ReaderAtOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,11 @@ import (
 	"positbench/internal/compress/gzipc"
 	"positbench/internal/compress/lz4c"
 	"positbench/internal/posit"
+	"positbench/internal/predict"
 	"positbench/internal/sdrbench"
 )
 
-func TestV2Conformance(t *testing.T) { codectest.Run(t, NewV2()) }
+func TestV2Conformance(t *testing.T) { codectest.Run(t, predict.NewPosit()) }
 
 // positStream converts sdrbench input i to a posit<32,3> word byte stream.
 func positStream(t testing.TB, i, n int) []byte {
@@ -23,7 +24,7 @@ func positStream(t testing.TB, i, n int) []byte {
 
 // v2 must compress posit-encoded sdrbench fields and roundtrip exactly.
 func TestV2CompressesPositData(t *testing.T) {
-	c := NewV2()
+	c := predict.NewPosit()
 	for _, i := range []int{0, 2, 6, 10} {
 		data := positStream(t, i, 32<<10)
 		comp, err := c.Compress(data)
@@ -48,7 +49,7 @@ func TestV2CompressesPositData(t *testing.T) {
 // Unlike v1, v2 has no alignment precondition: arbitrary byte lengths
 // roundtrip, which is what qualifies it for the registry.
 func TestV2ArbitraryLengths(t *testing.T) {
-	c := NewV2()
+	c := predict.NewPosit()
 	base := positStream(t, 1, 1024)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 4093, 4096} {
 		data := base[:n]
@@ -74,7 +75,7 @@ func TestV2ArbitraryLengths(t *testing.T) {
 // deterministic, so these orderings are stable pins, not benchmarks.
 func TestV2RatioAgainstFamilyAndRegistry(t *testing.T) {
 	data := positStream(t, 2, 64<<10) // EXAALT dataset1.y: smooth MD field
-	v2 := NewV2()
+	v2 := predict.NewPosit()
 	c2, err := v2.Compress(data)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestV2RatioAgainstFamilyAndRegistry(t *testing.T) {
 // The registry wraps v2 in the container frame; sanity-check the framed
 // stream identifies itself and enforces limits end to end.
 func TestV2InfoAndLight(t *testing.T) {
-	c := NewV2()
+	c := predict.NewPosit()
 	if c.Name() != "fpc-posit" {
 		t.Fatalf("name %q", c.Name())
 	}
@@ -130,9 +131,9 @@ func TestV2InfoAndLight(t *testing.T) {
 func FuzzV2Roundtrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{1, 2, 3})
-	codectest.FuzzRoundtrip(f, NewV2())
+	codectest.FuzzRoundtrip(f, predict.NewPosit())
 }
 
 func FuzzV2Decompress(f *testing.F) {
-	codectest.FuzzDecompress(f, NewV2())
+	codectest.FuzzDecompress(f, predict.NewPosit())
 }

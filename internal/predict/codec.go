@@ -60,10 +60,10 @@ type Config struct {
 
 // Codec is the FCM/DFCM predictive compressor over 32-bit word streams.
 // Inputs of any byte length are accepted: the 0–3 bytes past the last whole
-// word travel raw. The zero value is not usable; construct with New or
-// NewNamed.
+// word travel raw. The zero value is not usable; construct with New,
+// NewPosit or NewNamed.
 type Codec struct {
-	name string
+	info compress.Info
 	cfg  Config
 }
 
@@ -71,27 +71,40 @@ type Codec struct {
 // predictor selection — the speed-oriented family member for float32 words.
 func New() *Codec { return NewNamed("fpc32", Config{}) }
 
+// NewPosit returns the "fpc-posit" codec, the second-generation posit
+// compressor: instead of positpack's field split (sign/regime/exponent/
+// fraction streams), it runs the value predictors over the posit<32,3>
+// word stream and codes the residuals as split planes. Posit words reward
+// prediction more than IEEE words: the regime's unary prefix makes the top
+// bits of nearby values agree, so residual leading zeros run deeper. Unlike
+// positpack it accepts inputs of any byte length, which is what lets it
+// live in the registry.
+func NewPosit() *Codec {
+	c := NewNamed("fpc-posit", Config{Split: true})
+	c.info.Version = "2.0"
+	c.info.Source = "positpack v2: FCM/DFCM prediction over posit<32,3> words, split-plane residuals"
+	return c
+}
+
 // NewNamed returns a predictive codec with an explicit registry name and
-// configuration. positpack.NewV2 uses this to build "fpc-posit".
+// configuration.
 func NewNamed(name string, cfg Config) *Codec {
-	return &Codec{name: name, cfg: cfg}
+	mode := "plain LZC residuals"
+	if cfg.Split {
+		mode = "sign/LZC/mantissa split residuals"
+	}
+	return &Codec{cfg: cfg, info: compress.Info{
+		Name:    name,
+		Version: "1.0",
+		Source:  "FCM/DFCM value prediction (FPC/pFPC class), " + mode,
+	}}
 }
 
 // Name implements compress.Codec.
-func (c *Codec) Name() string { return c.name }
+func (c *Codec) Name() string { return c.info.Name }
 
 // Info implements compress.Describer.
-func (c *Codec) Info() compress.Info {
-	mode := "plain LZC residuals"
-	if c.cfg.Split {
-		mode = "sign/LZC/mantissa split residuals"
-	}
-	return compress.Info{
-		Name:    c.name,
-		Version: "1.0",
-		Source:  "FCM/DFCM value prediction (FPC/pFPC class), " + mode,
-	}
-}
+func (c *Codec) Info() compress.Info { return c.info }
 
 // DecodeIsLight implements compress.LightDecoder: decoding is table lookups
 // and bit reads at memory-bandwidth-class speed. It only sets the

@@ -8,7 +8,7 @@
 //
 // The package exposes one codec under two registry names: "fpc32" codes
 // residuals as plain LZC bucket + remainder bits (fastest), and "fpc-posit"
-// (constructed by positpack.NewV2) splits residuals into sign / LZC-bucket /
+// (constructed by NewPosit) splits residuals into sign / LZC-bucket /
 // mantissa planes with a per-block Huffman code over the buckets, trading a
 // little speed for ratio on posit<32,3> word streams whose regime-heavy top
 // bits predict well.

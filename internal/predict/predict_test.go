@@ -25,7 +25,7 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate predict golden vector files")
 
 // newSplit builds the split-plane family member under test, with the same
-// configuration positpack.NewV2 uses (that wrapper has its own suite).
+// configuration NewPosit uses (fpc-posit has its own suite in positpack).
 func newSplit() *Codec { return NewNamed("fpc-split", Config{Split: true}) }
 
 func TestConformancePlain(t *testing.T) { codectest.Run(t, New()) }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,8 +102,15 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
+	// Identify the codec from a bounded peek before committing any decode
+	// resources.
 	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	name, bare, err := sniffCodec(body)
+	prefix, err := body.Peek(container.SniffLen)
+	if len(prefix) == 0 && err != nil && err != io.EOF {
+		writeError(w, err)
+		return
+	}
+	name, bare, err := container.Sniff(prefix)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -201,49 +207,6 @@ func drainBody(cw *httpshell.Writer, r *http.Request) {
 		return
 	}
 	panic(http.ErrAbortHandler)
-}
-
-// sniffCodec identifies the codec of an incoming compressed body from a
-// bounded peek at its first bytes, before any decode resources are
-// committed. A body opening with the container magic is a bare frame; a
-// chunked stream opens with a uvarint frame length followed by the first
-// chunk's container frame.
-func sniffCodec(br *bufio.Reader) (name string, bare bool, err error) {
-	prefix, err := br.Peek(binary.MaxVarintLen64 + container.MaxHeaderLen)
-	if err != nil && len(prefix) == 0 {
-		if err == io.EOF {
-			return "", false, compress.Errorf(compress.ErrTruncated, "server: empty body")
-		}
-		return "", false, err
-	}
-	if len(prefix) >= len(container.Magic) {
-		bare = true
-		for i, b := range container.Magic {
-			if prefix[i] != b {
-				bare = false
-				break
-			}
-		}
-		if bare {
-			h, _, err := container.ParseHeader(prefix)
-			if err != nil {
-				return "", false, err
-			}
-			return h.Codec, true, nil
-		}
-	}
-	length, used := binary.Uvarint(prefix)
-	if used <= 0 {
-		return "", false, compress.Errorf(compress.ErrCorrupt, "server: unreadable stream frame prefix")
-	}
-	if length == 0 {
-		return "", false, compress.Errorf(compress.ErrTruncated, "server: stream opens with its terminator")
-	}
-	h, _, err := container.ParseHeader(prefix[used:])
-	if err != nil {
-		return "", false, err
-	}
-	return h.Codec, false, nil
 }
 
 // countReads tallies bytes pulled from r into n (single-goroutine use: the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -206,7 +205,7 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	name, bare, err := sniffCodec(bufio.NewReader(bytes.NewReader(data)))
+	name, bare, err := container.Sniff(data)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -104,8 +104,8 @@ type Server struct {
 	advisor *advisor.Advisor
 	ready   atomic.Bool // GET /readyz verdict; see SetReady
 
-	store      *objectStore      // PUT /v1/objects tier
-	chunkCache *chunkcache.Cache // nil when caching is disabled
+	store      *objectStore                              // PUT /v1/objects tier
+	chunkCache *chunkcache.Cache[chunkcache.Key, []byte] // nil when caching is disabled
 }
 
 // New validates cfg, fills defaults, and returns a ready Server.
@@ -146,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.shell = httpshell.New(cfg.AccessLog, s.metrics.recordRequest)
 	if cfg.ChunkCacheBytes > 0 {
-		s.chunkCache = chunkcache.New(cfg.ChunkCacheBytes)
+		s.chunkCache = chunkcache.New[chunkcache.Key](cfg.ChunkCacheBytes, chunkcache.Bytes)
 	}
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = trace.New(cfg.TraceCapacity)
