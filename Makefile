@@ -23,8 +23,10 @@
 #                    real measurements
 #   make test-exhaustive
 #                    all 2^32 posit<32,3> patterns through the decode32
-#                    kernel against the scalar reference (build tag
-#                    exhaustive; minutes, so not part of check)
+#                    kernel against the scalar reference, and all 2^32
+#                    float32 patterns through FromFloat32 against the
+#                    nearest-posit rule (build tag exhaustive; minutes, so
+#                    not part of check)
 #   make ci          everything above, in order
 #
 # Speed claims are measured by the perfbench module (`bash perfbench/run.sh`,
@@ -112,9 +114,11 @@ fuzz-smoke:
 		done; \
 	done
 
-# Every posit<32,3> pattern, sharded over GOMAXPROCS: about two minutes on
-# two cores. -v prints the sweep's agreement count and wall time.
+# Every posit<32,3> pattern through decode32, then every float32 pattern
+# through FromFloat32, each sharded over GOMAXPROCS: about two and three
+# minutes on two cores. -v prints each sweep's disagreement count and wall
+# time.
 test-exhaustive:
-	$(GO) test -tags exhaustive -run '^TestDecode32Exhaustive$$' -count=1 -timeout 30m -v ./internal/posit
+	$(GO) test -tags exhaustive -run '^(TestDecode32Exhaustive|TestFromFloat32Exhaustive)$$' -count=1 -timeout 30m -v ./internal/posit
 
 ci: check race race-twice e2e bench-smoke fuzz-smoke test-exhaustive

@@ -9,8 +9,10 @@
 //	positgw -backends host:port,host:port,... [-addr :8090]
 //	        [-max-tries N] [-per-try-timeout D] [-hedge-after D]
 //	        [-max-buffer N] [-breaker-threshold N] [-breaker-cooldown D]
-//	        [-probe-interval D] [-probe-path P] [-drain D] [-drain-grace D]
-//	        [-addr-file PATH] [-quiet]
+//	        [-probe-interval D] [-fail-threshold N] [-rise-threshold N]
+//	        [-drain D] [-drain-grace D] [-traces N] [-addr-file PATH] [-quiet]
+//
+// Health probes GET each backend's /readyz, each bounded by 2 s.
 //
 // On SIGINT/SIGTERM the gateway first flips its own /readyz to 503, waits
 // -drain-grace so upstream balancers observe the flip while the listener
@@ -50,7 +52,6 @@ func run(args []string) int {
 		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive failures that open a backend's circuit breaker; 0 selects the default")
 		brkCool    = fs.Duration("breaker-cooldown", 0, "time a breaker stays open before a half-open probe; 0 selects the default")
 		probeEvery = fs.Duration("probe-interval", 0, "active health-check period; 0 selects the default, <0 disables")
-		probePath  = fs.String("probe-path", "", "backend readiness endpoint; default /readyz")
 		failThresh = fs.Int("fail-threshold", 0, "consecutive probe failures that eject a backend; 0 selects the default")
 		riseThresh = fs.Int("rise-threshold", 0, "consecutive probe successes that recover a backend; 0 selects the default")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight requests")
@@ -85,8 +86,6 @@ func run(args []string) int {
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCool,
 		ProbeInterval:    *probeEvery,
-		ProbeTimeout:     0,
-		ProbePath:        *probePath,
 		FailThreshold:    *failThresh,
 		RiseThreshold:    *riseThresh,
 		TraceCapacity:    *traces,

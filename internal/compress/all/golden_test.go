@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"positbench/internal/compress/bzip2c"
 	"positbench/internal/posit"
 	"positbench/internal/sdrbench"
 )
@@ -49,11 +50,13 @@ func outputGoldenInputs() []outputGoldenInput {
 }
 
 // TestOutputGolden pins the bytes, not only the lengths, of every Raw()
-// codec's Compress output: one line per (codec, input, encoding) with the
-// SHA-256 of the stream. TestStudySizesGolden in internal/core pins sizes,
-// which a kernel change that keeps every length but moves bytes would pass;
-// this fixture fails it. A change to any codec's output fails here until
-// the fixture is regenerated with -update and the change says why.
+// codec's Compress output and of the .bz2 writer bzip2c.NewCompat(9), which
+// shares the bzip2 codec's block stages: one line per (codec, input,
+// encoding) with the SHA-256 of the stream. TestStudySizesGolden in
+// internal/core pins sizes, which a kernel change that keeps every length
+// but moves bytes would pass; this fixture fails it. A change to any
+// codec's output fails here until the fixture is regenerated with -update
+// and the change says why.
 //
 // gzipc wraps the standard library's compress/flate, so its lines describe
 // the Go toolchain the fixture was made with as well as this repository.
@@ -64,7 +67,7 @@ func outputGoldenInputs() []outputGoldenInput {
 // defect.
 func TestOutputGolden(t *testing.T) {
 	ins := outputGoldenInputs()
-	codecs := Raw()
+	codecs := append(Raw(), bzip2c.NewCompat(9))
 	lines := make([][]string, len(codecs))
 	var wg sync.WaitGroup
 	errs := make([]error, len(codecs))

@@ -227,103 +227,114 @@ func (c *laneCosts) cheapest(group []uint16, nTables int) int {
 // huffEncodeBlock is the final encode stage: train the Huffman
 // tables on the block's symbol stream and write the block payload.
 func huffEncodeBlock(block []byte, primary int, syms []uint16) ([]byte, error) {
-	nGroups := numTables(len(syms))
-	nSel := (len(syms) + groupSize - 1) / groupSize
-	// Initialize one table per contiguous chunk of the symbol stream, then
-	// refine with a few assign-groups / rebuild-tables iterations (bzip2's
-	// scheme). Post-BWT statistics drift along the block, so local tables
-	// beat one global table.
-	tables := make([][]uint8, nGroups)
-	chunk := (len(syms) + nGroups - 1) / nGroups
-	for t := 0; t < nGroups; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > len(syms) {
-			hi = len(syms)
-		}
-		freqs := make([]int, alphabetSize)
-		for _, s := range syms[lo:hi] {
-			freqs[s]++
-		}
+	tables, selectors, err := trainTables(syms, alphabetSize, func(freqs []int) ([]uint8, error) {
 		freqs[eobSymbol]++ // every table must be able to code EOB
-		var err error
-		tables[t], err = huffman.BuildLengths(freqs, huffman.MaxBits)
-		if err != nil {
-			return nil, err
-		}
+		return huffman.BuildLengths(freqs, huffman.MaxBits)
+	})
+	if err != nil {
+		return nil, err
 	}
-	selectors := make([]int, nSel)
-	var costs laneCosts
-	for iter := 0; iter < 4; iter++ {
-		// Assign each group its cheapest table.
-		costs.pack(tables)
-		freqsPer := make([][]int, nGroups)
-		for t := range freqsPer {
-			freqsPer[t] = make([]int, alphabetSize)
-		}
-		for g := 0; g < nSel; g++ {
-			lo, hi := g*groupSize, (g+1)*groupSize
-			if hi > len(syms) {
-				hi = len(syms)
-			}
-			bestT := costs.cheapest(syms[lo:hi], nGroups)
-			selectors[g] = bestT
-			for _, s := range syms[lo:hi] {
-				freqsPer[bestT][s]++
-			}
-		}
-		// Rebuild tables from their assigned groups.
-		for t := 0; t < nGroups; t++ {
-			freqsPer[t][eobSymbol]++
-			var err error
-			tables[t], err = huffman.BuildLengths(freqsPer[t], huffman.MaxBits)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	encs := make([]*huffman.Encoder, nGroups)
-	for t := range tables {
-		var err error
-		encs[t], err = huffman.NewEncoder(tables[t])
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	w := bitio.NewWriter(len(block)/3 + 64)
 	hdr := bitio.PutUvarint(nil, uint64(primary))
 	hdr = bitio.PutUvarint(hdr, uint64(len(block)))
 	hdr = bitio.PutUvarint(hdr, uint64(len(syms)))
-	hdr = append(hdr, byte(nGroups))
+	hdr = append(hdr, byte(len(tables)))
 	w.WriteBytes(hdr)
 	for _, tbl := range tables {
 		if err := huffman.WriteLengths(w, tbl); err != nil {
 			return nil, err
 		}
 	}
-	// Selectors, MTF-transformed then unary-coded (bzip2's format): table
-	// switches are rare, so most selectors cost one bit.
-	mtfOrder := make([]int, nGroups)
-	for i := range mtfOrder {
-		mtfOrder[i] = i
+	writeSelectors(w, selectors, len(tables))
+	if err := writeSymbols(w, syms, selectors, tables); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// The block stages below are shared by both containers: the registry
+// format above and the .bz2 writer in compat.go. Each passes its own build,
+// which turns one table's symbol counts over an alphaSize alphabet into
+// code lengths and carries its format's rule for symbols the counts miss.
+
+// trainTables picks numTables(len(syms)) Huffman tables and the table of
+// each groupSize-symbol group, following bzip2: one table per contiguous
+// chunk of the symbol stream, then four passes that assign every group its
+// cheapest table and rebuild each table from its groups. Post-BWT
+// statistics drift along the block, so local tables beat one global table.
+func trainTables(syms []uint16, alphaSize int, build func(freqs []int) ([]uint8, error)) (tables [][]uint8, selectors []int, err error) {
+	nTables := numTables(len(syms))
+	tables = make([][]uint8, nTables)
+	chunk := (len(syms) + nTables - 1) / nTables
+	for t := range tables {
+		freqs := make([]int, alphaSize)
+		for _, s := range syms[t*chunk : min((t+1)*chunk, len(syms))] {
+			freqs[s]++
+		}
+		if tables[t], err = build(freqs); err != nil {
+			return nil, nil, err
+		}
+	}
+	selectors = make([]int, (len(syms)+groupSize-1)/groupSize)
+	var costs laneCosts
+	for iter := 0; iter < 4; iter++ {
+		costs.pack(tables)
+		freqsPer := make([][]int, nTables)
+		for t := range freqsPer {
+			freqsPer[t] = make([]int, alphaSize)
+		}
+		for g := range selectors {
+			group := syms[g*groupSize : min((g+1)*groupSize, len(syms))]
+			best := costs.cheapest(group, nTables)
+			selectors[g] = best
+			for _, s := range group {
+				freqsPer[best][s]++
+			}
+		}
+		for t := range tables {
+			if tables[t], err = build(freqsPer[t]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return tables, selectors, nil
+}
+
+// writeSelectors writes each group's table index move-to-front transformed,
+// then unary-coded (bzip2's format): table switches are rare, so most
+// selectors cost one bit.
+func writeSelectors(w *bitio.Writer, selectors []int, nTables int) {
+	order := make([]int, nTables)
+	for i := range order {
+		order[i] = i
 	}
 	for _, sel := range selectors {
 		j := 0
-		for mtfOrder[j] != sel {
+		for order[j] != sel {
 			j++
 		}
 		for i := 0; i < j; i++ {
 			w.WriteBit(1)
 		}
 		w.WriteBit(0)
-		copy(mtfOrder[1:j+1], mtfOrder[:j])
-		mtfOrder[0] = sel
+		copy(order[1:j+1], order[:j])
+		order[0] = sel
+	}
+}
+
+// writeSymbols codes each symbol with the table its group selects.
+func writeSymbols(w *bitio.Writer, syms []uint16, selectors []int, tables [][]uint8) error {
+	encs := make([]*huffman.Encoder, len(tables))
+	for t, tbl := range tables {
+		var err error
+		if encs[t], err = huffman.NewEncoder(tbl); err != nil {
+			return err
+		}
 	}
 	for i, s := range syms {
-		enc := encs[selectors[i/groupSize]]
-		enc.Encode(w, int(s))
+		encs[selectors[i/groupSize]].Encode(w, int(s))
 	}
-	return w.Bytes(), nil
+	return nil
 }
 
 // Decompress implements compress.Codec with default decode limits.

@@ -16,8 +16,9 @@ import (
 
 // CompatCodec emits the real bzip2 file format (.bz2): the exact container
 // byte stream that the reference tools and Go's compress/bzip2 reader
-// decode. Decompression is delegated to the standard library, so every
-// roundtrip through this codec cross-validates the encoder against an
+// decode. Its blocks run the registry codec's own stages, and
+// decompression is delegated to the standard library, so every roundtrip
+// through this codec cross-validates the encoder that ships against an
 // independent reference implementation.
 type CompatCodec struct {
 	level int // 1..9: block size in 100 kB units
@@ -75,14 +76,11 @@ func (c *CompatCodec) Compress(src []byte) ([]byte, error) {
 	// RLE1 the whole input, then split into blocks of at most
 	// level*100000-20 post-RLE1 bytes (bzip2's nblockMAX slack). The block
 	// CRC covers the pre-RLE1 bytes each block consumes, so blocks are cut
-	// on RLE1 group boundaries by re-running RLE1 incrementally.
+	// on RLE1 group boundaries by re-running RLE1 incrementally. An empty
+	// input is a stream of no blocks.
 	maxBlock := c.level*100000 - 20
 	streamCRC := uint32(0)
-	pos := 0
-	for pos < len(src) || (len(src) == 0 && pos == 0) {
-		if len(src) == 0 {
-			break // empty stream: no blocks at all
-		}
+	for pos := 0; pos < len(src); {
 		blockRaw, blockRLE := takeRLE1Block(src[pos:], maxBlock)
 		blockCRC := bzCRCUpdate(0xFFFFFFFF, src[pos:pos+blockRaw]) ^ 0xFFFFFFFF
 		streamCRC = (streamCRC<<1 | streamCRC>>31) ^ blockCRC
@@ -132,41 +130,39 @@ func takeRLE1Block(src []byte, maxBlock int) (rawLen int, rle []byte) {
 }
 
 // writeCompatBlock emits one compressed block in bzip2's exact bit format.
+// Its symbols come from the registry codec's stages: bzip2 move-to-fronts
+// over the block's used bytes in ascending order, which is mtf.Encode over
+// each byte's rank in that list, since mtf.Encode starts from the identity
+// order and never moves an unused rank ahead of a used one.
 func writeCompatBlock(w *bitio.Writer, block []byte, blockCRC uint32) error {
 	last, primary := bwt.Transform(block)
 
-	// Used-byte map and the compacted MTF alphabet.
 	var used [256]bool
 	for _, b := range block {
 		used[b] = true
 	}
-	var alphabet []byte
-	for v := 0; v < 256; v++ {
+	var rank [256]byte
+	nUsed := 0
+	for v := range used {
 		if used[v] {
-			alphabet = append(alphabet, byte(v))
+			rank[v] = byte(nUsed)
+			nUsed++
 		}
 	}
-	nUsed := len(alphabet)
 	if nUsed == 0 {
 		return fmt.Errorf("bzip2-compat: empty block")
 	}
+	for i, b := range last {
+		last[i] = rank[b]
+	}
 	eob := nUsed + 1
-	alphaSize := nUsed + 2
+	syms := append(mtf.EncodeZeroRuns(mtf.Encode(last)), uint16(eob))
 
-	// MTF over the compacted alphabet, with RUNA/RUNB zero-run coding.
-	syms := compatMTF(last, alphabet)
-	syms = append(syms, uint16(eob))
-
-	// Huffman tables: groups of 50 symbols, 2..6 tables, refined like the
-	// native codec but with every alphabet symbol guaranteed a code (the
-	// format requires complete tables).
-	nGroups := numTables(len(syms))
-	nSel := (len(syms) + groupSize - 1) / groupSize
-	tables := make([][]uint8, nGroups)
-	chunk := (len(syms) + nGroups - 1) / nGroups
-	buildCompat := func(freqs []int) ([]uint8, error) {
+	// The format requires complete tables of at most 17 bits, so every
+	// alphabet symbol gets a code.
+	tables, selectors, err := trainTables(syms, eob+1, func(freqs []int) ([]uint8, error) {
 		for s := range freqs {
-			freqs[s]++ // every symbol must receive a code
+			freqs[s]++
 		}
 		lengths, err := huffman.BuildLengths(freqs, 17)
 		if err != nil {
@@ -178,56 +174,12 @@ func writeCompatBlock(w *bitio.Writer, block []byte, blockCRC uint32) error {
 			}
 		}
 		return lengths, nil
-	}
-	for t := 0; t < nGroups; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > len(syms) {
-			hi = len(syms)
-		}
-		freqs := make([]int, alphaSize)
-		for _, s := range syms[lo:hi] {
-			freqs[s]++
-		}
-		var err error
-		if tables[t], err = buildCompat(freqs); err != nil {
-			return err
-		}
-	}
-	selectors := make([]int, nSel)
-	var costs laneCosts // every length is 1..17, so no lane sees the 0 penalty
-	for iter := 0; iter < 4; iter++ {
-		costs.pack(tables)
-		freqsPer := make([][]int, nGroups)
-		for t := range freqsPer {
-			freqsPer[t] = make([]int, alphaSize)
-		}
-		for g := 0; g < nSel; g++ {
-			lo, hi := g*groupSize, (g+1)*groupSize
-			if hi > len(syms) {
-				hi = len(syms)
-			}
-			bestT := costs.cheapest(syms[lo:hi], nGroups)
-			selectors[g] = bestT
-			for _, s := range syms[lo:hi] {
-				freqsPer[bestT][s]++
-			}
-		}
-		for t := 0; t < nGroups; t++ {
-			var err error
-			if tables[t], err = buildCompat(freqsPer[t]); err != nil {
-				return err
-			}
-		}
-	}
-	encs := make([]*huffman.Encoder, nGroups)
-	for t := range tables {
-		var err error
-		if encs[t], err = huffman.NewEncoder(tables[t]); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 
-	// --- emit the block ---
+	// Block header: magic, CRC, randomized flag, BWT origin.
 	w.WriteBits(0x314159, 24)
 	w.WriteBits(0x265359, 24)
 	w.WriteBits(uint64(blockCRC), 32)
@@ -256,83 +208,26 @@ func writeCompatBlock(w *bitio.Writer, block []byte, blockCRC uint32) error {
 		}
 		w.WriteBits(bitsOut, 16)
 	}
-	w.WriteBits(uint64(nGroups), 3)
-	w.WriteBits(uint64(nSel), 15)
-	// Selectors: MTF + unary.
-	mtfOrder := make([]int, nGroups)
-	for i := range mtfOrder {
-		mtfOrder[i] = i
-	}
-	for _, sel := range selectors {
-		j := 0
-		for mtfOrder[j] != sel {
-			j++
-		}
-		for i := 0; i < j; i++ {
-			w.WriteBit(1)
-		}
-		w.WriteBit(0)
-		copy(mtfOrder[1:j+1], mtfOrder[:j])
-		mtfOrder[0] = sel
-	}
+	w.WriteBits(uint64(len(tables)), 3)
+	w.WriteBits(uint64(len(selectors)), 15)
+	writeSelectors(w, selectors, len(tables))
 	// Code lengths: 5-bit start, then +1/-1 deltas per symbol.
-	for t := 0; t < nGroups; t++ {
-		cur := int(tables[t][0])
+	for _, tbl := range tables {
+		cur := int(tbl[0])
 		w.WriteBits(uint64(cur), 5)
-		for s := 0; s < alphaSize; s++ {
-			target := int(tables[t][s])
-			for cur < target {
+		for _, l := range tbl {
+			for cur < int(l) {
 				w.WriteBits(0b10, 2)
 				cur++
 			}
-			for cur > target {
+			for cur > int(l) {
 				w.WriteBits(0b11, 2)
 				cur--
 			}
 			w.WriteBit(0)
 		}
 	}
-	// Symbol stream.
-	for i, s := range syms {
-		encs[selectors[i/groupSize]].Encode(w, int(s))
-	}
-	return nil
-}
-
-// compatMTF move-to-fronts over the compacted used-byte alphabet and
-// applies RUNA/RUNB zero-run coding, producing bzip2's symbol stream
-// (without EOB).
-func compatMTF(last []byte, alphabet []byte) []uint16 {
-	order := append([]byte(nil), alphabet...)
-	out := make([]uint16, 0, len(last))
-	run := 0
-	flushRun := func() {
-		for run > 0 {
-			if run&1 == 1 {
-				out = append(out, mtf.RunA)
-				run = (run - 1) / 2
-			} else {
-				out = append(out, mtf.RunB)
-				run = (run - 2) / 2
-			}
-		}
-	}
-	for _, b := range last {
-		j := 0
-		for order[j] != b {
-			j++
-		}
-		if j == 0 {
-			run++
-			continue
-		}
-		flushRun()
-		out = append(out, uint16(j)+1)
-		copy(order[1:j+1], order[:j])
-		order[0] = b
-	}
-	flushRun()
-	return out
+	return writeSymbols(w, syms, selectors, tables)
 }
 
 // Decompress implements compress.Codec by delegating to the standard

@@ -5,19 +5,23 @@ import (
 	"compress/bzip2"
 	"fmt"
 	"io"
+	"os/exec"
 	"testing"
 
 	"positbench/internal/compress/codectest"
 )
 
-// Differential tests against the standard library's bzip2 implementation.
-// The compat codec emits the real .bz2 container, so every stream it
-// produces must decode bit-exactly with compress/bzip2 — at every level
-// and over every differential input family. The reverse direction (a
-// stdlib-produced .bz2 into our decoder) is inherently covered because
-// CompatCodec.Decompress *is* the stdlib decoder, and the stdlib ships no
-// bzip2 writer to cross-produce streams with; the native bzip2c codec uses
-// its own container and is out of scope here.
+// Differential tests against independent bzip2 decoders: the standard
+// library's compress/bzip2 and, when installed, the reference bzip2 binary.
+// The compat codec emits the real .bz2 container from the registry codec's
+// own block stages (MTF and RUNA/RUNB coding, trainTables, writeSelectors,
+// writeSymbols), so every stream it produces must decode bit-exactly with
+// both, at every level and over every differential input family, and a
+// defect in those shared stages fails here as well as in the registry
+// codec's roundtrips. The reverse direction (a stdlib-produced .bz2 into
+// our decoder) is inherently covered because CompatCodec.Decompress *is*
+// the stdlib decoder, and the stdlib ships no bzip2 writer to cross-produce
+// streams with.
 
 func TestDifferentialCompatToStdlib(t *testing.T) {
 	for _, level := range []int{1, 9} {
@@ -42,6 +46,35 @@ func TestDifferentialCompatToStdlib(t *testing.T) {
 				}
 				if !bytes.Equal(back, in.Data) {
 					t.Fatalf("level %d: stdlib decoded %d bytes, want %d", level, len(back), len(in.Data))
+				}
+			})
+		}
+	}
+}
+
+// TestCompatAgainstReferenceTool decodes the compat codec's output with the
+// reference bzip2 binary when one is on PATH; skipped otherwise.
+func TestCompatAgainstReferenceTool(t *testing.T) {
+	bin, err := exec.LookPath("bzip2")
+	if err != nil {
+		t.Skip("bzip2 binary not installed")
+	}
+	for _, level := range []int{1, 9} {
+		c := NewCompat(level)
+		for _, in := range codectest.DifferentialInputs() {
+			t.Run(fmt.Sprintf("L%d/%s", level, in.Name), func(t *testing.T) {
+				comp, err := c.Compress(in.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmd := exec.Command(bin, "-d", "-c")
+				cmd.Stdin = bytes.NewReader(comp)
+				back, err := cmd.Output()
+				if err != nil {
+					t.Fatalf("reference bzip2 rejected our stream: %v", err)
+				}
+				if !bytes.Equal(back, in.Data) {
+					t.Fatalf("reference bzip2 decoded %d bytes, want %d", len(back), len(in.Data))
 				}
 			})
 		}

@@ -49,8 +49,11 @@ func TestLegacyMultiBlock(t *testing.T) {
 	}
 }
 
-// TestLegacyAgainstReferenceTool cross-validates the encoder with the real
-// lz4 binary when one is installed; skipped otherwise.
+// TestLegacyAgainstReferenceTool cross-validates the legacy frame with the
+// real lz4 binary both ways when one is installed; skipped otherwise. The
+// binary decodes our encoder's output, and our decoder decodes the binary's
+// output at fast, high and maximum (HC) levels, so the block decoder sees
+// sequences another encoder chose.
 func TestLegacyAgainstReferenceTool(t *testing.T) {
 	lz4bin, err := exec.LookPath("lz4")
 	if err != nil {
@@ -72,6 +75,26 @@ func TestLegacyAgainstReferenceTool(t *testing.T) {
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatalf("reference decode mismatch: %d vs %d bytes", len(out), len(data))
+	}
+
+	for _, level := range []string{"-1", "-9", "-12"} {
+		for _, in := range codectest.DifferentialInputs() {
+			t.Run(level+"/"+in.Name, func(t *testing.T) {
+				cmd := exec.Command(lz4bin, "-l", level, "-c")
+				cmd.Stdin = bytes.NewReader(in.Data)
+				comp, err := cmd.Output()
+				if err != nil {
+					t.Fatalf("reference lz4 %s: %v", level, err)
+				}
+				back, err := NewLegacy().Decompress(comp)
+				if err != nil {
+					t.Fatalf("decoding lz4 %s output: %v", level, err)
+				}
+				if !bytes.Equal(back, in.Data) {
+					t.Fatalf("decoded %d bytes of lz4 %s output, want %d", len(back), level, len(in.Data))
+				}
+			})
+		}
 	}
 }
 

@@ -65,8 +65,17 @@ func (st *tryState) lastFail() (int, map[string][]string, []byte) {
 	return st.lastStatus, st.lastHeader, st.lastBody
 }
 
-// claim picks the next backend for a try, in three passes over the ring
-// preference order:
+// record books a finished try's outcome: it feeds the breaker, and counts a
+// failure when !ok.
+func (b *backend) record(ok bool) {
+	b.breaker.Record(ok)
+	if !ok {
+		b.failures.Add(1)
+	}
+}
+
+// claim picks the next backend for a try and counts the try, in three
+// passes over the ring preference order:
 //
 //  1. untried, probe-ready, breaker admits — the healthy path;
 //  2. untried, probe-ready, breaker refusing — forced through (fail-static:
@@ -74,30 +83,25 @@ func (st *tryState) lastFail() (int, map[string][]string, []byte) {
 //     refusing the client);
 //  3. any untried backend at all.
 //
-// The returned forced flag tells the caller the breaker did not admit the
-// try itself; the outcome must still be Recorded so a forced success can
-// close the breaker. claim returns nil when every backend has been tried.
-func (g *Gateway) claim(st *tryState) (b *backend, forced bool) {
+// A try from pass 2 or 3 also counts as forced: the breaker did not admit
+// it, and its outcome is still recorded so a forced success can close the
+// breaker. claim returns nil when every backend has been tried.
+func (g *Gateway) claim(st *tryState) *backend {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, i := range st.order {
-		cand := g.backends[i]
-		if !st.tried[i] && cand.Ready() && cand.breaker.Allow() {
+	for pass := 1; pass <= 3; pass++ {
+		for _, i := range st.order {
+			b := g.backends[i]
+			if st.tried[i] || pass < 3 && !b.Ready() || pass == 1 && !b.breaker.Allow() {
+				continue
+			}
 			st.tried[i] = true
-			return cand, false
+			b.requests.Add(1)
+			if pass > 1 {
+				g.metrics.forcedTries.Add(1)
+			}
+			return b
 		}
 	}
-	for _, i := range st.order {
-		if !st.tried[i] && g.backends[i].Ready() {
-			st.tried[i] = true
-			return g.backends[i], true
-		}
-	}
-	for _, i := range st.order {
-		if !st.tried[i] {
-			st.tried[i] = true
-			return g.backends[i], true
-		}
-	}
-	return nil, false
+	return nil
 }

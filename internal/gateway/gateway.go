@@ -31,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -65,13 +66,10 @@ type Config struct {
 	// probe). 0 selects the resilience defaults.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProbeInterval is the active health-check period. 0 selects
+	// ProbeInterval is the active health-check period, each probe a GET of
+	// the backend's /readyz bounded by probeTimeout. 0 selects
 	// DefaultProbeInterval; negative disables active probing.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request. 0 selects DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-	// ProbePath is the backend readiness endpoint. "" selects "/readyz".
-	ProbePath string
 	// FailThreshold ejects a backend after this many consecutive probe
 	// failures; RiseThreshold recovers it after this many consecutive
 	// successes. 0 selects the defaults (3 and 2).
@@ -95,9 +93,15 @@ const (
 	DefaultPerTryTimeout  = 30 * time.Second
 	DefaultHedgeAfter     = 250 * time.Millisecond
 	DefaultProbeInterval  = time.Second
-	DefaultProbeTimeout   = 2 * time.Second
 	DefaultFailThreshold  = 3
 	DefaultRiseThreshold  = 2
+)
+
+// probePath is the readiness endpoint every positd serves; probeTimeout
+// bounds one probe.
+const (
+	probePath    = "/readyz"
+	probeTimeout = 2 * time.Second
 )
 
 // Gateway is the positgw request handler. Create with New, mount via
@@ -136,12 +140,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.ProbePath == "" {
-		cfg.ProbePath = "/readyz"
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
@@ -199,7 +197,7 @@ func parseBackendURL(raw string) (*url.URL, error) {
 		return nil, fmt.Errorf("gateway: empty backend address")
 	}
 	withScheme := raw
-	if !hasScheme(raw) {
+	if !strings.Contains(raw, "://") {
 		withScheme = "http://" + raw
 	}
 	u, err := url.Parse(withScheme)
@@ -207,18 +205,6 @@ func parseBackendURL(raw string) (*url.URL, error) {
 		return nil, fmt.Errorf("gateway: bad backend address %q", raw)
 	}
 	return &url.URL{Scheme: u.Scheme, Host: u.Host}, nil
-}
-
-func hasScheme(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch {
-		case s[i] == ':':
-			return i+2 < len(s) && s[i+1] == '/' && s[i+2] == '/'
-		case s[i] == '/' || s[i] == '.':
-			return false
-		}
-	}
-	return false
 }
 
 // SetDraining flips the gateway's own /readyz: true answers 503 so an

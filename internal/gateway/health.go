@@ -38,10 +38,10 @@ func (g *Gateway) probeLoop(ctx context.Context, b *backend) {
 // probeOnce sends one readiness probe and applies the fail/rise counters.
 // It is the backend's single writer for the probe state.
 func (g *Gateway) probeOnce(ctx context.Context, b *backend) {
-	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	ok := false
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url.String()+g.cfg.ProbePath, nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url.String()+probePath, nil)
 	if err == nil {
 		resp, derr := g.client.Do(req)
 		if derr == nil {

@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -183,15 +183,11 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, body []b
 // proxyStreaming forwards an unbuffered (over-cap) request body in a
 // single try.
 func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix []byte, st *tryState, sp *trace.Span) {
-	b, forced := g.claim(st)
+	b := g.claim(st)
 	if b == nil {
 		g.metrics.noBackend.Add(1)
 		httpshell.WriteError(w, http.StatusBadGateway, "no_backend", errNoBackend.Error())
 		return
-	}
-	b.requests.Add(1)
-	if forced {
-		g.metrics.forcedTries.Add(1)
 	}
 	sp.Annotate("backend", b.name)
 	// The backend may answer before the whole body has been forwarded.
@@ -200,19 +196,13 @@ func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix 
 	// and the bytes still in flight never reach the backend. The error only
 	// means the writer has no such discard to turn off.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	req := g.upstreamRequest(r.Context(), r, b, io.MultiReader(bytes.NewReader(prefix), r.Body), r.ContentLength)
-	resp, err := g.client.Do(req)
+	resp, err := g.send(r.Context(), r, b, io.MultiReader(bytes.NewReader(prefix), r.Body), r.ContentLength)
 	if err != nil {
-		b.breaker.Record(false)
-		b.failures.Add(1)
 		httpshell.WriteError(w, http.StatusBadGateway, "upstream_failure", err.Error())
 		return
 	}
 	defer resp.Body.Close()
-	b.breaker.Record(resp.StatusCode < 500)
-	if resp.StatusCode >= 500 {
-		b.failures.Add(1)
-	}
+	b.record(resp.StatusCode < 500)
 	g.observeAutoChoice(r, resp.StatusCode, resp.Header, sp)
 	copyRelayHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
@@ -228,19 +218,16 @@ func (g *Gateway) proxyStreaming(w http.ResponseWriter, r *http.Request, prefix 
 // timeout, 429, 5xx) return an error; everything else — including
 // deterministic 4xx client errors — is a result to relay.
 func (g *Gateway) tryBuffered(ctx context.Context, r *http.Request, body []byte, st *tryState) (*upstream, error) {
-	b, forced := g.claim(st)
+	b := g.claim(st)
 	if b == nil {
 		return nil, errNoBackend
 	}
-	b.requests.Add(1)
-	if forced {
-		g.metrics.forcedTries.Add(1)
-	}
 
 	tctx, tcancel := context.WithCancel(ctx)
-	var settleOnce sync.Once
+	// The watchdog stops when the try returns; a relayed over-cap stream
+	// keeps tctx open until its release.
 	settled := make(chan struct{})
-	settle := func() { settleOnce.Do(func() { close(settled) }) }
+	defer close(settled)
 	var timedOut atomic.Bool
 	if g.cfg.PerTryTimeout > 0 {
 		go func() {
@@ -253,18 +240,14 @@ func (g *Gateway) tryBuffered(ctx context.Context, r *http.Request, body []byte,
 		}()
 	}
 	fail := func(err error) (*upstream, error) {
-		settle()
 		tcancel()
-		b.breaker.Record(false)
-		b.failures.Add(1)
 		if timedOut.Load() {
 			err = fmt.Errorf("gateway: per-try timeout on %s: %w", b.name, err)
 		}
 		return nil, err
 	}
 
-	req := g.upstreamRequest(tctx, r, b, bytes.NewReader(body), int64(len(body)))
-	resp, err := g.client.Do(req)
+	resp, err := g.send(tctx, r, b, bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		return fail(err)
 	}
@@ -272,15 +255,10 @@ func (g *Gateway) tryBuffered(ctx context.Context, r *http.Request, body []byte,
 		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
 		resp.Body.Close()
 		st.saveFail(resp.StatusCode, resp.Header, blob)
-		settle()
 		tcancel()
 		// A 429 is a healthy backend shedding load, not a failure the
 		// breaker should count; a 5xx is.
-		saturated := resp.StatusCode == http.StatusTooManyRequests
-		b.breaker.Record(saturated)
-		if !saturated {
-			b.failures.Add(1)
-		}
+		b.record(resp.StatusCode == http.StatusTooManyRequests)
 		return nil, fmt.Errorf("gateway: backend %s answered %d", b.name, resp.StatusCode)
 	}
 
@@ -289,19 +267,16 @@ func (g *Gateway) tryBuffered(ctx context.Context, r *http.Request, body []byte,
 		// The backend died mid-body before the client saw anything: fully
 		// retryable, the next try replays the request elsewhere.
 		resp.Body.Close()
+		b.record(false)
 		return fail(fmt.Errorf("gateway: reading %s response: %w", b.name, err))
 	}
-	b.breaker.Record(true)
+	b.record(true)
 	u := &upstream{status: resp.StatusCode, header: resp.Header, body: buf, backend: b}
 	if overflowed {
-		// Stop the per-try watchdog and hand the live stream to the relay;
-		// the try context stays open until release.
-		settle()
 		u.rest = resp.Body
 		u.release = tcancel
 	} else {
 		resp.Body.Close()
-		settle()
 		tcancel()
 	}
 	return u, nil
@@ -367,8 +342,9 @@ func readUpTo(rd io.Reader, capBytes int64) (buf []byte, overflowed bool, err er
 	return b.Bytes(), n > capBytes, nil
 }
 
-// upstreamRequest rewrites the inbound request against one backend.
-func (g *Gateway) upstreamRequest(ctx context.Context, r *http.Request, b *backend, body io.Reader, contentLength int64) *http.Request {
+// send runs one try of r against b with the given body, and books a
+// transport error with b. The caller books every answer.
+func (g *Gateway) send(ctx context.Context, r *http.Request, b *backend, body io.Reader, contentLength int64) (*http.Response, error) {
 	u := *r.URL
 	u.Scheme = b.url.Scheme
 	u.Host = b.url.Host
@@ -376,14 +352,18 @@ func (g *Gateway) upstreamRequest(ctx context.Context, r *http.Request, b *backe
 	req.Header = r.Header.Clone()
 	stripHopByHop(req.Header)
 	req.ContentLength = contentLength
-	if host, _, ok := splitHostPort(r.RemoteAddr); ok {
+	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
 		if prior := req.Header.Get("X-Forwarded-For"); prior != "" {
 			req.Header.Set("X-Forwarded-For", prior+", "+host)
 		} else {
 			req.Header.Set("X-Forwarded-For", host)
 		}
 	}
-	return req
+	resp, err := g.client.Do(req)
+	if err != nil {
+		b.record(false)
+	}
+	return resp, err
 }
 
 // hopByHopHeaders never cross a proxy (RFC 9110 §7.6.1).
@@ -406,13 +386,4 @@ func copyRelayHeaders(dst http.Header, src map[string][]string) {
 		dst[k] = slices.Clone(vv)
 	}
 	stripHopByHop(dst)
-}
-
-func splitHostPort(addr string) (host, port string, ok bool) {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i], addr[i+1:], true
-		}
-	}
-	return "", "", false
 }

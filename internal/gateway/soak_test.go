@@ -137,7 +137,6 @@ func TestChaosSoak(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  100 * time.Millisecond,
 		ProbeInterval:    50 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
 		FailThreshold:    2,
 		RiseThreshold:    1,
 		PerTryTimeout:    5 * time.Second,

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// Backoff computes capped exponential retry delays with equal jitter. The
-// zero value selects the defaults below. Delay is pure given Rand, so tests
-// inject a fixed Rand and assert exact values; with a real Rand the result
-// is still bounded within [(1-Jitter)·d, d], which the tests pin.
+// Backoff computes capped exponential retry delays with equal jitter: half
+// of each delay is fixed and half is random. The zero value selects the
+// defaults below. Delay is pure given Rand, so tests inject a fixed Rand and
+// assert exact values; with a real Rand the result is still bounded within
+// [d/2, d], which the tests pin.
 type Backoff struct {
 	// Base is the un-jittered delay before the first retry. <= 0 selects
 	// DefaultBackoffBase.
@@ -16,10 +17,6 @@ type Backoff struct {
 	// Max caps the un-jittered exponential growth. <= 0 selects
 	// DefaultBackoffMax.
 	Max time.Duration
-	// Jitter is the randomized fraction of each delay, in [0, 1]: the
-	// delay is d·(1-Jitter) + d·Jitter·Rand(). Negative selects
-	// DefaultBackoffJitter; 0 must be asked for explicitly with NoJitter.
-	Jitter float64
 	// NoJitter disables jitter entirely (deterministic delays).
 	NoJitter bool
 	// Rand supplies the jitter source in [0, 1). Nil selects the global
@@ -29,9 +26,8 @@ type Backoff struct {
 
 // Defaults for the zero Backoff.
 const (
-	DefaultBackoffBase   = 25 * time.Millisecond
-	DefaultBackoffMax    = 2 * time.Second
-	DefaultBackoffJitter = 0.5
+	DefaultBackoffBase = 25 * time.Millisecond
+	DefaultBackoffMax  = 2 * time.Second
 )
 
 // Delay returns the pause before retry number retry (0 = the first retry).
@@ -62,16 +58,10 @@ func (b Backoff) Delay(retry int) time.Duration {
 	if b.NoJitter {
 		return d
 	}
-	jitter := b.Jitter
-	if jitter < 0 || jitter > 1 {
-		jitter = DefaultBackoffJitter
-	} else if jitter == 0 {
-		jitter = DefaultBackoffJitter
-	}
 	rnd := b.Rand
 	if rnd == nil {
 		rnd = rand.Float64
 	}
-	fixed := float64(d) * (1 - jitter)
-	return time.Duration(fixed + float64(d)*jitter*rnd())
+	half := float64(d) / 2
+	return time.Duration(half + half*rnd())
 }

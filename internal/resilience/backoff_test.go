@@ -6,9 +6,9 @@ import (
 )
 
 // Exact delays with a pinned Rand: equal jitter means
-// d·(1-J) + d·J·rand, doubling from Base and capping at Max.
+// d/2 + d/2·rand, doubling from Base and capping at Max.
 func TestBackoffDeterministic(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond, Jitter: 0.5,
+	b := Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond,
 		Rand: func() float64 { return 0.5 }}
 	want := []time.Duration{
 		75 * time.Millisecond,  // 100ms: 50 + 25
@@ -24,10 +24,10 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// Jittered delays stay inside [(1-J)·d, d] for every retry number, and the
+// Jittered delays stay inside [d/2, d] for every retry number, and the
 // un-jittered sequence is exactly exponential-then-capped.
 func TestBackoffBounds(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 1 * time.Second, Jitter: 0.5}
+	b := Backoff{Base: 10 * time.Millisecond, Max: 1 * time.Second}
 	for retry := 0; retry < 12; retry++ {
 		full := Backoff{Base: b.Base, Max: b.Max, NoJitter: true}.Delay(retry)
 		wantFull := b.Base << retry
