@@ -10,8 +10,9 @@
 #                    known-bad frames; catches decode-path panics fast)
 #   make race-twice  the concurrency-sensitive packages (worker pool, chunk
 #                    engine, predictive codecs, positd, the advisor, the
-#                    container and the single-flight cache, resilience and
-#                    positgw with its chaos soak) under the race detector,
+#                    container and the single-flight cache, resilience,
+#                    positgw with its chaos soak, and the LC search) under
+#                    the race detector,
 #                    run twice: the second run sees different goroutine
 #                    schedules, which is what shakes out ordering bugs
 #   make e2e         the process-level soaks (internal/e2e, build tag
@@ -71,16 +72,19 @@ race:
 # pooled predictor state, positd's streaming handlers, the one
 # single-flight cache (internal/chunkcache: its fills, ctx-bounded waits and
 # eviction) and its two users, the advisor's decisions and the container's
-# range reads, and the gateway's retries, hedging, breakers, probes and chaos
-# soak are all goroutine choreography, so a second run with different
-# schedules is the cheapest ordering fuzz. The rest of internal/compress/...
+# range reads, the gateway's retries, hedging, breakers, probes and chaos
+# soak, and the LC search's items, whose size tables only the atomic count
+# of pending items orders before the result set is built, are all goroutine
+# choreography, so a second run with different schedules is the cheapest
+# ordering fuzz. The rest of internal/compress/...
 # runs only its stream-layer tests here: a raced pass of the whole tree
 # takes about four times as long.
 race-twice:
 	$(GO) test -race -count=2 ./internal/pool/... ./internal/compress ./internal/predict/... ./internal/positpack/... \
 		./internal/server/... ./cmd/positd/... ./internal/advisor/... ./cmd/positadvise/... \
 		./internal/container/... ./internal/chunkcache/... \
-		./internal/resilience/... ./internal/gateway/... ./cmd/positgw/...
+		./internal/resilience/... ./internal/gateway/... ./cmd/positgw/... \
+		./internal/lc/...
 	$(GO) test -race -count=2 -run 'Parallel|Stream|Equivalence|MultiBlockRoundtrip' ./internal/compress/...
 
 # The process-level soaks over real sockets: a positload burst against a

@@ -19,7 +19,7 @@ var ErrUnexpectedEOF = compress.Errorf(compress.ErrTruncated, "bitio: unexpected
 type Writer struct {
 	buf  []byte
 	cur  uint64 // pending bits, right-aligned (low nbit bits are valid)
-	nbit uint   // number of pending bits in cur (always 0..7 between calls)
+	nbit uint   // number of pending bits in cur (always 0..31 between calls)
 }
 
 // NewWriter returns a Writer whose internal buffer has the given capacity hint.
@@ -31,44 +31,41 @@ func NewWriter(capacity int) *Writer {
 func (w *Writer) WriteBit(b uint) {
 	w.cur = w.cur<<1 | uint64(b&1)
 	w.nbit++
-	if w.nbit == 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur, w.nbit = 0, 0
+	if w.nbit == 32 {
+		w.nbit = 0
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.cur))
 	}
 }
 
 // WriteBits appends the low n bits of v, most significant first. n may be 0..64.
-// Whole output bytes are assembled in a 64-bit accumulator and appended with a
-// single big-endian store instead of byte-at-a-time shifting.
+// Bits gather in a 64-bit accumulator, and every 32 of them leave it in one
+// big-endian 4-byte append.
 func (w *Writer) WriteBits(v uint64, n uint) {
-	if n == 0 {
-		return
-	}
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	if w.nbit+n > 64 {
-		// Rare (only reachable for n >= 58): split so each half fits the
-		// accumulator together with the pending bits.
+	if n > 32 {
+		// The high part first, so that each part fits the accumulator
+		// beside the at most 31 pending bits.
 		w.WriteBits(v>>32, n-32)
 		n = 32
-		v &= 0xFFFFFFFF
 	}
-	acc := w.cur<<(n&63) | v // n == 64 implies nbit == 0 and cur == 0
-	total := w.nbit + n
-	nbytes := total >> 3
-	rem := total & 7
-	if nbytes > 0 {
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], acc>>rem<<(64-8*nbytes))
-		w.buf = append(w.buf, tmp[:nbytes]...)
-		acc &= 1<<rem - 1
+	w.cur = w.cur<<n | v&(1<<n-1)
+	w.nbit += n
+	if w.nbit >= 32 {
+		w.nbit -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.cur>>w.nbit))
 	}
-	w.cur, w.nbit = acc, rem
+}
+
+// flushBytes appends the whole bytes among the pending bits, leaving 0..7.
+func (w *Writer) flushBytes() {
+	for w.nbit >= 8 {
+		w.nbit -= 8
+		w.buf = append(w.buf, byte(w.cur>>w.nbit))
+	}
 }
 
 // WriteBytes appends a byte slice.
 func (w *Writer) WriteBytes(p []byte) {
+	w.flushBytes()
 	if w.nbit == 0 {
 		w.buf = append(w.buf, p...)
 		return
@@ -80,9 +77,9 @@ func (w *Writer) WriteBytes(p []byte) {
 
 // Align pads the stream with zero bits up to the next byte boundary.
 func (w *Writer) Align() {
+	w.flushBytes()
 	if w.nbit > 0 {
-		w.cur <<= 8 - w.nbit
-		w.buf = append(w.buf, byte(w.cur))
+		w.buf = append(w.buf, byte(w.cur<<(8-w.nbit)))
 		w.cur, w.nbit = 0, 0
 	}
 }

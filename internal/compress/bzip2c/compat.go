@@ -100,7 +100,9 @@ func (c *CompatCodec) Compress(src []byte) ([]byte, error) {
 // encoded block would exceed maxBlock bytes. It returns how many raw bytes
 // were consumed and the RLE1-encoded block.
 func takeRLE1Block(src []byte, maxBlock int) (rawLen int, rle []byte) {
-	rle = make([]byte, 0, maxBlock)
+	// RLE1 grows its input by at most a quarter (a run of four becomes five
+	// bytes), so a short src never needs a whole block.
+	rle = make([]byte, 0, min(maxBlock, len(src)+len(src)/4+5))
 	i := 0
 	for i < len(src) {
 		b := src[i]

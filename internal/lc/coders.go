@@ -160,7 +160,8 @@ func (rze) Name() string { return "RZE" }
 const sizeWords = 4096
 
 // occupancy is RZE's bitmap of the nonzero words of src, MSB first, and
-// their count. The bitmap reuses buf when it is long enough.
+// their count. The bitmap reuses buf when it is long enough. Full groups of
+// eight words are read in place; only the ragged last one is copied.
 func occupancy(src, buf []byte) ([]byte, int) {
 	n := len(src) / 4
 	occupied := buf
@@ -168,18 +169,28 @@ func occupancy(src, buf []byte) ([]byte, int) {
 		occupied = make([]byte, (n+7)/8)
 	}
 	occupied = occupied[:(n+7)/8]
+	full := n / 8
 	nonzero := 0
-	for j := range occupied {
-		var g [32]byte // eight words, zero-padded past the last
-		copy(g[:], src[32*j:4*n])
-		var bits8 byte
-		for i := range 8 {
-			bits8 = bits8<<1 | b2u8(binary.LittleEndian.Uint32(g[4*i:]) != 0)
-		}
-		occupied[j] = bits8
-		nonzero += bits.OnesCount8(bits8)
+	for j := range full {
+		occupied[j] = nonzeroWords((*[32]byte)(src[32*j:]))
+		nonzero += bits.OnesCount8(occupied[j])
+	}
+	if full < len(occupied) {
+		var g [32]byte // zero words past the last
+		copy(g[:], src[32*full:4*n])
+		occupied[full] = nonzeroWords(&g)
+		nonzero += bits.OnesCount8(occupied[full])
 	}
 	return occupied, nonzero
+}
+
+// nonzeroWords has bit 7-i set when little-endian word i of g is nonzero.
+func nonzeroWords(g *[32]byte) byte {
+	var bits8 byte
+	for i := range 8 {
+		bits8 = bits8<<1 | b2u8(binary.LittleEndian.Uint32(g[4*i:]) != 0)
+	}
+	return bits8
 }
 
 func (rze) size(src []byte) (int, error) {
@@ -191,8 +202,7 @@ func (rze) size(src []byte) (int, error) {
 func (rze) Forward(src []byte) ([]byte, error) {
 	n := len(src) / 4
 	occupied, _ := occupancy(src, nil)
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
+	out := appendWordHeader(nil, src)
 	out = append(out, encodeBitmapBody(occupied)...)
 	for i := 0; i < n; i++ {
 		if occupied[i/8]>>(7-i%8)&1 == 1 {
@@ -283,29 +293,65 @@ func (t topCoder) scan(src, buf []byte) (k, flagged int, flags []byte) {
 		lead = make([]byte, n)
 	}
 	lead = lead[:n]
-	var hist [33]int
+	// Four interleaved histograms keep a run of one count from serializing
+	// on a single counter, as in byteCounts.
+	var hists [4][33]int
 	prev := uint32(0)
-	for i := range lead {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		g := src[4*i : 4*i+16]
+		w0 := binary.LittleEndian.Uint32(g)
+		w1 := binary.LittleEndian.Uint32(g[4:])
+		w2 := binary.LittleEndian.Uint32(g[8:])
+		w3 := binary.LittleEndian.Uint32(g[12:])
+		l0 := bits.LeadingZeros32(w0 ^ prev&same)
+		l1 := bits.LeadingZeros32(w1 ^ w0&same)
+		l2 := bits.LeadingZeros32(w2 ^ w1&same)
+		l3 := bits.LeadingZeros32(w3 ^ w2&same)
+		l := lead[i : i+4]
+		l[0], l[1], l[2], l[3] = byte(l0), byte(l1), byte(l2), byte(l3)
+		hists[0][l0]++
+		hists[1][l1]++
+		hists[2][l2]++
+		hists[3][l3]++
+		prev = w3
+	}
+	for ; i < n; i++ {
 		w := binary.LittleEndian.Uint32(src[4*i:])
 		l := bits.LeadingZeros32(w ^ prev&same)
 		lead[i] = byte(l)
-		hist[l]++
+		hists[0][l]++
 		prev = w
+	}
+	var hist [33]int
+	for l := range hist {
+		hist[l] = hists[0][l] + hists[1][l] + hists[2][l] + hists[3][l]
 	}
 	k, flagged = chooseK(&hist, n)
 	// The flags overwrite lead: byte j is written after lead[8j:8j+8] is
 	// read.
 	flags = lead[:(n+7)/8]
-	for j := range flags {
-		var g [8]byte // zero-padded, so unflagged, past the last word
-		copy(g[:], lead[8*j:])
-		var bits8 byte
-		for _, l := range g {
-			bits8 = bits8<<1 | b2u8(int(l) >= k)
-		}
-		flags[j] = bits8
+	full := n / 8
+	for j := range full {
+		flags[j] = atLeast(binary.LittleEndian.Uint64(lead[8*j:]), k)
+	}
+	if full < len(flags) {
+		var g [8]byte // zero counts, so unflagged, past the last word
+		copy(g[:], lead[8*full:])
+		flags[full] = atLeast(binary.LittleEndian.Uint64(g[:]), k)
 	}
 	return k, flagged, flags
+}
+
+// atLeast is the flag byte of the eight lead counts in x's byte lanes: bit
+// 7-i is set when lane i is at least k. A lane holds at most 32 and k is at
+// most 31, so 0x80|count - k borrows from no other lane, and its top bit is
+// set exactly when count >= k; the multiply gathers lane i's top bit into
+// bit 63-i, where no other product bit lands.
+func atLeast(x uint64, k int) byte {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	ge := ((x | tops) - uint64(k)*ones) & tops
+	return byte((ge >> 7) * 0x8040201008040201 >> 56)
 }
 
 // chooseK picks the k that minimizes the pre-bitmap-compression size of n
@@ -329,38 +375,49 @@ func chooseK(hist *[33]int, n int) (k, flagged int) {
 	return bestK, bestFlagged
 }
 
-// size: the headers, k, the encoded flag bitmap, the tops' length and
-// bytes, the bottoms' bytes, and the tail.
-func (t topCoder) size(src []byte) (int, error) {
+// outLens returns the byte counts of the tops and of the whole output for
+// src, when scan chose k and flagged words and the flag bitmap encodes to
+// bitmapLen bytes: the headers, k, the bitmap, the tops' length and bytes,
+// the bottoms' bytes, and the tail.
+func outLens(src []byte, k, flagged, bitmapLen int) (topBytes, total int) {
 	n := len(src) / 4
-	var buf [sizeWords]byte
-	k, flagged, flags := t.scan(src, buf[:])
-	topBytes := ((n-flagged)*k + 7) / 8
+	topBytes = ((n-flagged)*k + 7) / 8
 	bottomBytes := (n*(32-k) + 7) / 8
-	return wordHeaderLen(src) + 1 + bitmapBodyLen(flags) + uvarintLen(topBytes) + topBytes + bottomBytes + len(src)%4, nil
+	return topBytes, wordHeaderLen(src) + 1 + bitmapLen + uvarintLen(topBytes) + topBytes + bottomBytes + len(src)%4
 }
 
+func (t topCoder) size(src []byte) (int, error) {
+	var buf [sizeWords]byte
+	k, flagged, flags := t.scan(src, buf[:])
+	_, total := outLens(src, k, flagged, bitmapBodyLen(flags))
+	return total, nil
+}
+
+// Forward writes everything through one writer of the exact size: scan
+// gives the tops' length before any top is written.
 func (t topCoder) Forward(src []byte) ([]byte, error) {
 	n := len(src) / 4
-	k, _, flags := t.scan(src, nil)
-	tops := bitio.NewWriter(n/2 + 8)
-	bottoms := bitio.NewWriter(n*4 + 8)
-	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(src[4*i:])
+	k, flagged, flags := t.scan(src, nil)
+	bitmap := encodeBitmapBody(flags)
+	topBytes, total := outLens(src, k, flagged, len(bitmap))
+	w := bitio.NewWriter(total)
+	var head [3 * binary.MaxVarintLen64]byte
+	w.WriteBytes(append(appendWordHeader(head[:0], src), byte(k)))
+	w.WriteBytes(bitmap)
+	w.WriteBytes(bitio.PutUvarint(head[:0], uint64(topBytes)))
+	kb := uint(k)
+	for i := range n {
 		if flags[i/8]>>(7-i%8)&1 == 0 {
-			tops.WriteBits(uint64(w>>(32-uint(k))), uint(k))
+			w.WriteBits(uint64(binary.LittleEndian.Uint32(src[4*i:])>>(32-kb)), kb)
 		}
-		bottoms.WriteBits(uint64(w)&(1<<(32-uint(k))-1), 32-uint(k))
 	}
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(src)-4*n))
-	out = append(out, byte(k))
-	out = append(out, encodeBitmapBody(flags)...)
-	tb := tops.Bytes()
-	out = bitio.PutUvarint(out, uint64(len(tb)))
-	out = append(out, tb...)
-	out = append(out, bottoms.Bytes()...)
-	return append(out, src[4*n:]...), nil
+	w.Align()
+	for i := range n {
+		w.WriteBits(uint64(binary.LittleEndian.Uint32(src[4*i:])), 32-kb)
+	}
+	w.Align()
+	w.WriteBytes(src[4*n:])
+	return w.Bytes(), nil
 }
 
 func (t topCoder) Inverse(src []byte, maxOut int) ([]byte, error) {
@@ -460,51 +517,58 @@ func byteCounts(src []byte) [256]int {
 	return freqs
 }
 
-func (huf) Forward(src []byte) ([]byte, error) {
+// plan returns src's code lengths and the byte count of the coded body
+// (the serialized lengths, then every symbol's code). size and Forward
+// share it.
+func (huf) plan(src []byte) (lengths []uint8, body int, err error) {
 	freqs := byteCounts(src)
-	lengths, err := huffman.BuildLengths(freqs[:], huffman.MaxBits)
+	lengths, err = huffman.BuildLengths(freqs[:], huffman.MaxBits)
+	if err != nil {
+		return nil, 0, err
+	}
+	bits, err := huffman.LengthsBits(lengths)
+	if err != nil {
+		return nil, 0, err
+	}
+	for sym, f := range freqs {
+		bits += f * int(lengths[sym])
+	}
+	return lengths, (bits + 7) / 8, nil
+}
+
+// Forward stores src when the coded body would not be shorter, and
+// otherwise codes it into a writer of the exact size.
+func (h huf) Forward(src []byte) ([]byte, error) {
+	lengths, body, err := h.plan(src)
 	if err != nil {
 		return nil, err
+	}
+	if body >= len(src) {
+		return append(bitio.PutUvarint([]byte{0}, uint64(len(src))), src...), nil
 	}
 	enc, err := huffman.NewEncoder(lengths)
 	if err != nil {
 		return nil, err
 	}
-	w := bitio.NewWriter(len(src)/2 + 160)
+	w := bitio.NewWriter(1 + uvarintLen(len(src)) + body)
+	var head [1 + binary.MaxVarintLen64]byte
+	w.WriteBytes(bitio.PutUvarint(append(head[:0], 1), uint64(len(src))))
 	if err := huffman.WriteLengths(w, lengths); err != nil {
 		return nil, err
 	}
 	for _, b := range src {
 		enc.Encode(w, int(b))
 	}
-	body := w.Bytes()
-	if len(body) >= len(src) {
-		out := append(bitio.PutUvarint([]byte{0}, uint64(len(src))), src...)
-		return out, nil
-	}
-	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
+	return w.Bytes(), nil
 }
 
-// size: the histogram and the code lengths give the coded body's bit
-// count, and the stored-mode escape applies on the same test as Forward's.
-func (huf) size(src []byte) (int, error) {
-	freqs := byteCounts(src)
-	lengths, err := huffman.BuildLengths(freqs[:], huffman.MaxBits)
+// size: the stored-mode escape applies on the same test as Forward's.
+func (h huf) size(src []byte) (int, error) {
+	_, body, err := h.plan(src)
 	if err != nil {
 		return 0, err
 	}
-	bits, err := huffman.LengthsBits(lengths)
-	if err != nil {
-		return 0, err
-	}
-	for sym, f := range freqs {
-		bits += f * int(lengths[sym])
-	}
-	body := (bits + 7) / 8
-	if body >= len(src) {
-		body = len(src)
-	}
-	return 1 + uvarintLen(len(src)) + body, nil
+	return 1 + uvarintLen(len(src)) + min(body, len(src)), nil
 }
 
 func (huf) Inverse(src []byte, maxOut int) ([]byte, error) {

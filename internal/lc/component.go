@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"positbench/internal/bitio"
 )
 
 // Component is one invertible pipeline stage.
@@ -56,6 +58,9 @@ func Components() []Component {
 	}
 }
 
+// nulID is NUL's wire ID, its index in Components().
+const nulID = 0
+
 // ByName returns the named component.
 func ByName(name string) (Component, error) {
 	for _, c := range Components() {
@@ -89,6 +94,13 @@ func joinWords(words []uint32, tail []byte) []byte {
 
 // uvarintLen is len(bitio.PutUvarint(nil, v)).
 func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// appendWordHeader appends the word count and tail length of src that BIT,
+// BYTE, RZE, RARE and RAZE write first.
+func appendWordHeader(dst, src []byte) []byte {
+	dst = bitio.PutUvarint(dst, uint64(len(src)/4))
+	return bitio.PutUvarint(dst, uint64(len(src)%4))
+}
 
 // wordHeaderLen is the size of the word count and tail length that BIT,
 // BYTE, RZE, RARE and RAZE write first.

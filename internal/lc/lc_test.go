@@ -275,24 +275,25 @@ func TestSearchDeterminism(t *testing.T) {
 	}
 }
 
-// TestComparePipes: comparePipes orders pipelines as their pipeline
-// strings compare, over names that are prefixes of one another.
-func TestComparePipes(t *testing.T) {
-	stages := []string{"DIFF", "DIFF4", "DIFFMS", "NUL", "RZE", "XOR", "XOR4"}
-	var pipes [][PipelineDepth]string
-	for _, a := range stages {
-		for _, b := range stages {
-			for _, c := range stages {
-				pipes = append(pipes, [PipelineDepth]string{a, b, c})
-			}
+// TestPipelineOrder: pipelineOrder's ranks order every pipeline of the
+// library as the pipeline strings compare, names that are prefixes of one
+// another ("DIFF", "DIFF4", "DIFFMS") included.
+func TestPipelineOrder(t *testing.T) {
+	lib := Components()
+	nl := len(lib)
+	order := newPipelineOrder(lib)
+	byRank := make([]string, nl*nl*nl)
+	for p := range byRank {
+		pipe := strings.Join([]string{lib[p/(nl*nl)].Name(), lib[p/nl%nl].Name(), lib[p%nl].Name()}, "|")
+		r := order.rank(p)
+		if byRank[r] != "" {
+			t.Fatalf("rank %d taken by %s and %s", r, byRank[r], pipe)
 		}
+		byRank[r] = pipe
 	}
-	for i := range pipes {
-		for j := range pipes {
-			want := strings.Compare(strings.Join(pipes[i][:], "|"), strings.Join(pipes[j][:], "|"))
-			if got := comparePipes(&pipes[i], &pipes[j]); got != want {
-				t.Fatalf("comparePipes(%v, %v) = %d, string order %d", pipes[i], pipes[j], got, want)
-			}
+	for r := 1; r < len(byRank); r++ {
+		if strings.Compare(byRank[r-1], byRank[r]) >= 0 {
+			t.Fatalf("rank %d is %s, rank %d is %s", r-1, byRank[r-1], r, byRank[r])
 		}
 	}
 }
@@ -329,6 +330,37 @@ func TestBestGlobal(t *testing.T) {
 	}
 	if _, _, err := SelectGlobal(perInput); err == nil {
 		t.Fatal("empty input list accepted")
+	}
+}
+
+// TestSelectGlobalTies: among pipelines of equal geometric mean,
+// SelectGlobal picks the one whose string sorts first, and it rejects a
+// result naming a component the library lacks.
+func TestSelectGlobalTies(t *testing.T) {
+	lib := Components()
+	var rs []Result
+	for _, a := range lib {
+		for _, b := range lib {
+			for _, c := range lib {
+				names := [PipelineDepth]string{a.Name(), b.Name(), c.Name()}
+				rs = append(rs, Result{Names: names, Size: 10, Ratio: 2})
+			}
+		}
+	}
+	slices.Reverse(rs)
+	pipe, results, err := SelectGlobal([][]Result{rs, rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pipe.String(); got != "BIT|BIT|BIT" {
+		t.Fatalf("tie went to %s, want BIT|BIT|BIT", got)
+	}
+	if results[1].Names != [PipelineDepth]string{"BIT", "BIT", "BIT"} {
+		t.Fatalf("results for input 1: %+v", results[1])
+	}
+	bogus := append([]Result{{Names: [PipelineDepth]string{"NUL", "NOPE", "NUL"}, Size: 10, Ratio: 2}}, rs...)
+	if _, _, err := SelectGlobal([][]Result{bogus}); err == nil {
+		t.Fatal("unknown component accepted")
 	}
 }
 

@@ -16,34 +16,48 @@ type bitT struct{}
 
 func (bitT) Name() string { return "BIT" }
 
+// Forward takes the words in groups of eight: byte b of group g's words
+// is an 8x8 bit matrix, whose transpose is byte g of planes 8b+7 down to
+// 8b.
 func (bitT) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
+	n := len(src) / 4
 	planeBytes := (n + 7) / 8
-	planes := make([]byte, 32*planeBytes)
-	for plane := 31; plane >= 0; plane-- {
-		row := planes[(31-plane)*planeBytes:]
-		sh := uint(plane)
-		i := 0
-		for ; i+8 <= n; i += 8 {
-			b := byte(words[i]>>sh&1)<<7 |
-				byte(words[i+1]>>sh&1)<<6 |
-				byte(words[i+2]>>sh&1)<<5 |
-				byte(words[i+3]>>sh&1)<<4 |
-				byte(words[i+4]>>sh&1)<<3 |
-				byte(words[i+5]>>sh&1)<<2 |
-				byte(words[i+6]>>sh&1)<<1 |
-				byte(words[i+7]>>sh&1)
-			row[i/8] = b
-		}
-		for ; i < n; i++ {
-			row[i/8] |= byte(words[i]>>sh&1) << (7 - uint(i)%8)
+	out := appendWordHeader(make([]byte, 0, wordHeaderLen(src)+32*planeBytes+len(src)%4), src)
+	planes := out[len(out) : len(out)+32*planeBytes]
+	full := n / 8
+	var last [32]byte // the ragged last group, zero words past the end
+	copy(last[:], src[32*full:4*n])
+	for b := range 4 {
+		// Row j of each transpose is plane 8b+7-j, stored 31-plane rows
+		// into planes: rows 24-8b to 31-8b.
+		rows := planes[(24-8*b)*planeBytes : (32-8*b)*planeBytes]
+		for g := range planeBytes {
+			group := &last
+			if g < full {
+				group = (*[32]byte)(src[32*g:])
+			}
+			// Word i's byte b is row i of the matrix, row 0 on top.
+			x := transpose8(uint64(group[b])<<56 | uint64(group[4+b])<<48 |
+				uint64(group[8+b])<<40 | uint64(group[12+b])<<32 |
+				uint64(group[16+b])<<24 | uint64(group[20+b])<<16 |
+				uint64(group[24+b])<<8 | uint64(group[28+b]))
+			for j := range 8 {
+				rows[j*planeBytes+g] = byte(x >> (56 - 8*j))
+			}
 		}
 	}
-	out = append(out, planes...)
-	return append(out, tail...), nil
+	return append(out[:len(out)+32*planeBytes], src[4*n:]...), nil
+}
+
+// transpose8 transposes the 8x8 bit matrix x, row i in byte 7-i and column
+// j in bit 7-j of each byte (Hacker's Delight, 7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
 }
 
 // size: the headers, 32 planes of ceil(n/8) bytes each, and the tail.
@@ -94,15 +108,15 @@ func (byteT) Name() string { return "BYTE" }
 
 func (byteT) Forward(src []byte) ([]byte, error) {
 	n := len(src) / 4
-	tail := src[4*n:]
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
-	for plane := 0; plane < 4; plane++ {
-		for i := 0; i < n; i++ {
-			out = append(out, src[4*i+plane])
-		}
+	out := appendWordHeader(make([]byte, 0, wordHeaderLen(src)+len(src)), src)
+	planes := out[len(out) : len(out)+4*n]
+	for i := range n {
+		planes[i] = src[4*i]
+		planes[n+i] = src[4*i+1]
+		planes[2*n+i] = src[4*i+2]
+		planes[3*n+i] = src[4*i+3]
 	}
-	return append(out, tail...), nil
+	return append(out[:len(out)+4*n], src[4*n:]...), nil
 }
 
 func (byteT) size(src []byte) (int, error) { return wordHeaderLen(src) + len(src), nil }

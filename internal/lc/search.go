@@ -1,11 +1,10 @@
 package lc
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"positbench/internal/pool"
@@ -40,70 +39,104 @@ func SearchAll(data []byte, workers int) ([]Result, error) {
 	return perInput[0], nil
 }
 
-// searchFrom evaluates every pipeline whose first stage is s1 into dst,
-// one row per (second, last) stage pair in library order. The last stage
+// searchFrom sizes every pipeline whose first stage is lib[s1] on data:
+// the size of pipeline (s1, s2, s3), charged headerBytes, goes to
+// sizes[(s1*n+s2)*n+s3] for a library of n components. The last stage
 // only reports its output's size: nothing reads its bytes.
-func searchFrom(dst []Result, s1 Component, lib []Component, data []byte) error {
-	t1, err := s1.Forward(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", s1.Name(), err)
-	}
-	for j, s2 := range lib {
-		t2, err := s2.Forward(t1)
-		if err != nil {
-			return fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
+//
+// NUL is the identity, so NUL|X|* sizes the bytes X|NUL|* does, X's
+// output on data: item X writes both rows, and NUL's own item writes only
+// NUL|NUL|*. A NUL stage passes its input on as is, since no Forward or
+// size writes to its src.
+func searchFrom(sizes []int, s1 int, lib []Component, data []byte) error {
+	nl := len(lib)
+	t1 := data
+	if s1 != nulID {
+		var err error
+		if t1, err = lib[s1].Forward(data); err != nil {
+			return fmt.Errorf("%s: %w", lib[s1].Name(), err)
 		}
-		for k, s3 := range lib {
-			n3, err := s3.size(t2)
+	}
+	for s2, c2 := range lib {
+		if s1 == nulID && s2 != nulID {
+			continue // NUL|X|* is item X's
+		}
+		t2 := t1
+		if s2 != nulID {
+			var err error
+			if t2, err = c2.Forward(t1); err != nil {
+				return fmt.Errorf("%s|%s: %w", lib[s1].Name(), c2.Name(), err)
+			}
+		}
+		row := sizes[(s1*nl+s2)*nl:][:nl]
+		for s3, c3 := range lib {
+			n3, err := c3.size(t2)
 			if err != nil {
-				return fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
+				return fmt.Errorf("%s|%s|%s: %w", lib[s1].Name(), c2.Name(), c3.Name(), err)
 			}
-			size := n3 + headerBytes
-			dst[j*len(lib)+k] = Result{
-				Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
-				Size:  size,
-				Ratio: float64(len(data)) / float64(size),
-			}
+			row[s3] = n3 + headerBytes
+		}
+		if s2 == nulID && s1 != nulID {
+			copy(sizes[(nulID*nl+s1)*nl:][:nl], row)
 		}
 	}
 	return nil
 }
 
-// sortResults orders rs by size, then by pipeline string.
-func sortResults(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int {
-		if c := cmp.Compare(a.Size, b.Size); c != 0 {
-			return c
-		}
-		return comparePipes(&a.Names, &b.Names)
-	})
+// pipelineOrder ranks pipelines in the order of their strings
+// ("DIFFMS|RARE|RAZE", as Pipeline.String renders them) without building
+// any. No name contains '|', so two pipeline strings first differ inside
+// the first stage whose names differ, where a first or middle stage
+// compares as its name followed by '|' and the last stage as its name.
+// Pipeline (s1, s2, s3) of a library of n components is index
+// (s1*n+s2)*n+s3, as searchFrom and SelectGlobal number them.
+type pipelineOrder struct {
+	mid, last []int // each component's place in the library by name+"|" and by name
 }
 
-// comparePipes compares the pipeline strings of a and b ("DIFFMS|RARE|RAZE",
-// as Pipeline.String renders them) without building either. At the first
-// stage where the names differ, either their common prefix decides, or one
-// name is a prefix of the other; then the shorter name's pipeline string
-// continues with '|' (which no name contains) or, at the last stage, ends.
-func comparePipes(a, b *[PipelineDepth]string) int {
-	for i := range a {
-		x, y := a[i], b[i]
-		if x == y {
-			continue
-		}
-		n := min(len(x), len(y))
-		if c := strings.Compare(x[:n], y[:n]); c != 0 {
-			return c
-		}
-		switch {
-		case i == PipelineDepth-1:
-			return cmp.Compare(len(x), len(y))
-		case len(x) < len(y):
-			return cmp.Compare('|', y[n])
-		default:
-			return cmp.Compare(x[n], '|')
+func newPipelineOrder(lib []Component) pipelineOrder {
+	o := pipelineOrder{make([]int, len(lib)), make([]int, len(lib))}
+	for i, a := range lib {
+		for _, b := range lib {
+			o.mid[i] += int(b2u8(b.Name()+"|" < a.Name()+"|"))
+			o.last[i] += int(b2u8(b.Name() < a.Name()))
 		}
 	}
-	return 0
+	return o
+}
+
+// rank is pipeline p's place, from 0, among all the library's pipelines in
+// string order.
+func (o pipelineOrder) rank(p int) int {
+	nl := len(o.mid)
+	return (o.mid[p/(nl*nl)]*nl+o.mid[p/nl%nl])*nl + o.last[p%nl]
+}
+
+// rankResults builds an input's result set from its sizes, indexed as
+// searchFrom writes them: smallest first, ties in pipeline-string order.
+// It sorts packed size<<rankBits | rank keys, with no comparator.
+func rankResults(sizes []int, lib []Component, order pipelineOrder, dataLen int) []Result {
+	nl := len(lib)
+	rankBits := uint(bits.Len(uint(len(sizes) - 1)))
+	keys := make([]uint64, len(sizes))
+	for p, size := range sizes {
+		keys[p] = uint64(size)<<rankBits | uint64(order.rank(p))
+	}
+	slices.Sort(keys)
+	byMid, byLast := make([]string, nl), make([]string, nl)
+	for i, c := range lib {
+		byMid[order.mid[i]], byLast[order.last[i]] = c.Name(), c.Name()
+	}
+	out := make([]Result, len(keys))
+	for i, key := range keys {
+		r, size := int(key&(1<<rankBits-1)), int(key>>rankBits)
+		out[i] = Result{
+			Names: [PipelineDepth]string{byMid[r/(nl*nl)], byMid[r/nl%nl], byLast[r%nl]},
+			Size:  size,
+			Ratio: float64(dataLen) / float64(size),
+		}
+	}
+	return out
 }
 
 // SearchAllMulti returns SearchAll's result set for every input, in input
@@ -114,23 +147,26 @@ func comparePipes(a, b *[PipelineDepth]string) int {
 // pair: the item runs the first stage once and every continuation of it,
 // so a first-stage output is never recomputed, and no worker waits for
 // the rest of an input before starting the next one. Each item writes its
-// own rows of its input's result set, and the input's last item to finish
-// sorts the set.
+// rows of its input's size table, and the input's last item to finish
+// builds the input's result set from the whole table: the atomic count of
+// the input's pending items orders every item's writes before that.
 func SearchAllMulti(inputs [][]byte, workers int) ([][]Result, error) {
 	lib := Components()
 	nl := len(lib)
+	order := newPipelineOrder(lib)
+	sizes := make([][]int, len(inputs))
 	perInput := make([][]Result, len(inputs))
 	pending := make([]atomic.Int32, len(inputs))
-	for i := range perInput {
-		perInput[i] = make([]Result, nl*nl*nl)
+	for i := range sizes {
+		sizes[i] = make([]int, nl*nl*nl)
 		pending[i].Store(int32(nl))
 	}
 	errs := make([]error, len(inputs)*nl)
 	pool.Run(workers, len(errs), func(item int) {
 		in, s1 := item/nl, item%nl
-		errs[item] = searchFrom(perInput[in][s1*nl*nl:(s1+1)*nl*nl], lib[s1], lib, inputs[in])
+		errs[item] = searchFrom(sizes[in], s1, lib, inputs[in])
 		if pending[in].Add(-1) == 0 {
-			sortResults(perInput[in])
+			perInput[in] = rankResults(sizes[in], lib, order, len(inputs[in]))
 		}
 	})
 	for _, err := range errs {
@@ -156,53 +192,57 @@ func SelectPerFile(perInput [][]Result) ([]Result, error) {
 
 // SelectGlobal picks the single pipeline with the highest geometric-mean
 // ratio across all precomputed result sets (the paper's Section 4.3
-// selection rule), plus its per-input results.
+// selection rule), plus its per-input results. Ties go to the pipeline
+// whose string sorts first.
 func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
-	inputs := perInput // alias: only the length is used below
-	if len(inputs) == 0 {
+	if len(perInput) == 0 {
 		return Pipeline{}, nil, fmt.Errorf("lc: no inputs")
 	}
-	// Accumulate log-ratios per pipeline.
-	type acc struct {
-		sumLog float64
-		count  int
+	lib := Components()
+	nl := len(lib)
+	ids := make(map[string]int, nl)
+	for i, c := range lib {
+		ids[c.Name()] = i
 	}
-	accs := make(map[[PipelineDepth]string]*acc)
+	// Accumulate log-ratios per pipeline index.
+	sumLog := make([]float64, nl*nl*nl)
+	count := make([]int, nl*nl*nl)
 	for _, rs := range perInput {
 		for _, r := range rs {
-			a, ok := accs[r.Names]
-			if !ok {
-				a = &acc{}
-				accs[r.Names] = a
+			p := 0
+			for _, name := range r.Names {
+				id, ok := ids[name]
+				if !ok {
+					return Pipeline{}, nil, fmt.Errorf("lc: unknown component %q", name)
+				}
+				p = p*nl + id
 			}
-			a.sumLog += math.Log(r.Ratio)
-			a.count++
+			sumLog[p] += math.Log(r.Ratio)
+			count[p]++
 		}
 	}
-	var best [PipelineDepth]string
-	found := false
+	order := newPipelineOrder(lib)
+	best := -1
 	bestMean := math.Inf(-1)
-	for names, a := range accs {
-		if a.count != len(inputs) {
+	for p, n := range count {
+		if n != len(perInput) {
 			continue // pipeline failed on some input; not eligible
 		}
-		mean := a.sumLog / float64(len(inputs))
-		if mean > bestMean || (found && mean == bestMean && comparePipes(&names, &best) < 0) {
-			best, found, bestMean = names, true, mean
+		mean := sumLog[p] / float64(len(perInput))
+		if mean > bestMean || (best >= 0 && mean == bestMean && order.rank(p) < order.rank(best)) {
+			best, bestMean = p, mean
 		}
 	}
-	if !found {
+	if best < 0 {
 		return Pipeline{}, nil, fmt.Errorf("lc: no pipeline succeeded on all inputs")
 	}
-	pipe, err := NewPipeline(best[:]...)
-	if err != nil {
-		return Pipeline{}, nil, err
-	}
+	pipe := Pipeline{Stages: []Component{lib[best/(nl*nl)], lib[best/nl%nl], lib[best%nl]}}
+	names := [PipelineDepth]string{pipe.Stages[0].Name(), pipe.Stages[1].Name(), pipe.Stages[2].Name()}
 	// Collect this pipeline's per-input results.
-	results := make([]Result, len(inputs))
+	results := make([]Result, len(perInput))
 	for i, rs := range perInput {
 		for _, r := range rs {
-			if r.Names == best {
+			if r.Names == names {
 				results[i] = r
 				break
 			}

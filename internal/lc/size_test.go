@@ -2,9 +2,12 @@ package lc
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"positbench/internal/sdrbench"
@@ -35,18 +38,18 @@ func studyInputs(values int) (names []string, data [][]byte) {
 	return names, data
 }
 
-// TestSizeMatchesForward checks the size-only path against Forward for
-// every component: on the empty input; on random, all-zero and constant
-// bytes of every length 1-67 (every ragged tail) and 476-516 (RZE's, RARE's
-// and RAZE's word bitmaps of 15 and 16 bytes, either side of
-// encodeBitmapBody's cutoff); and on the study inputs at 2048 values in
-// both encodings and every first-stage output of them, which are the
-// inputs the search hands its last stage.
-func TestSizeMatchesForward(t *testing.T) {
+// sizeCases is the case set of TestSizeMatchesForward and
+// TestKernelsMatchOracles: the empty input; random, all-zero, constant and
+// sparse (about one byte in eight nonzero) bytes of every length 1-67
+// (every ragged tail) and 476-516 (RZE's, RARE's and RAZE's word bitmaps of
+// 15 and 16 bytes, either side of encodeBitmapBody's cutoff); and the study
+// inputs at 2048 values in both encodings and every first-stage output of
+// them, which are the inputs the search hands its middle and last stages.
+func sizeCases(t testing.TB) (names []string, cases [][]byte) {
 	const seed = 18
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
-	names, cases := []string{"empty"}, [][]byte{nil}
+	names, cases = []string{"empty"}, [][]byte{nil}
 	add := func(name string, src []byte) {
 		names, cases = append(names, name), append(cases, src)
 	}
@@ -63,12 +66,18 @@ func TestSizeMatchesForward(t *testing.T) {
 		add(fmt.Sprintf("random%d", n), random)
 		add(fmt.Sprintf("zero%d", n), make([]byte, n))
 		add(fmt.Sprintf("const%d", n), bytes.Repeat([]byte{0xA5}, n))
+		sparse := make([]byte, n)
+		for i := range sparse {
+			if rng.Intn(8) == 0 {
+				sparse[i] = byte(1 + rng.Intn(255))
+			}
+		}
+		add(fmt.Sprintf("sparse%d", n), sparse)
 	}
 	inputNames, inputs := studyInputs(2048)
-	lib := Components()
 	for i, in := range inputs {
 		add(inputNames[i], in)
-		for _, s1 := range lib {
+		for _, s1 := range Components() {
 			t1, err := s1.Forward(in)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", s1.Name(), inputNames[i], err)
@@ -76,7 +85,14 @@ func TestSizeMatchesForward(t *testing.T) {
 			add(inputNames[i]+"|"+s1.Name(), t1)
 		}
 	}
-	for _, c := range lib {
+	return names, cases
+}
+
+// TestSizeMatchesForward checks the size-only path against Forward for
+// every component on sizeCases.
+func TestSizeMatchesForward(t *testing.T) {
+	names, cases := sizeCases(t)
+	for _, c := range Components() {
 		for i, src := range cases {
 			checkSize(t, c, src, names[i])
 		}
@@ -145,7 +161,12 @@ func searchMaterializing(data []byte) ([]Result, error) {
 			}
 		}
 	}
-	sortResults(results)
+	slices.SortFunc(results, func(a, b Result) int {
+		if c := cmp.Compare(a.Size, b.Size); c != 0 {
+			return c
+		}
+		return strings.Compare(strings.Join(a.Names[:], "|"), strings.Join(b.Names[:], "|"))
+	})
 	return results, nil
 }
 
