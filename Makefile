@@ -23,11 +23,12 @@
 #                    races and crashes on the hot paths without waiting for
 #                    real measurements
 #   make test-exhaustive
-#                    all 2^32 posit<32,3> patterns through the decode32
-#                    kernel against the scalar reference, and all 2^32
-#                    float32 patterns through FromFloat32 against the
-#                    nearest-posit rule (build tag exhaustive; minutes, so
-#                    not part of check)
+#                    at es = 2 and es = 3, all 2^32 posit32 patterns
+#                    through the decode32 kernel against the scalar
+#                    reference, and all 2^32 float32 patterns through
+#                    FromFloat32 against the nearest-posit rule and the
+#                    encode32 kernel against FromFloat32 (build tag
+#                    exhaustive; minutes, so not part of check)
 #   make ci          everything above, in order
 #
 # Speed claims are measured by the perfbench module (`bash perfbench/run.sh`,
@@ -45,8 +46,8 @@ check: vet build test
 # perfbench is its own module (it replaces positbench with ../), so ./...
 # from the root does not reach it. The e2e tag brings internal/e2e into
 # vet, so a change that breaks the soaks fails here; test and race leave
-# that package out. The exhaustive tag does the same for the posit<32,3>
-# sweep, which only test-exhaustive runs. gofmt walks directories, not
+# that package out. The exhaustive tag does the same for the posit32
+# sweeps, which only test-exhaustive runs. gofmt walks directories, not
 # modules, so it covers perfbench too; any file it lists fails the target.
 vet:
 	@unformatted=$$(gofmt -l .) || exit 1; if [ -n "$$unformatted" ]; then \
@@ -118,10 +119,10 @@ fuzz-smoke:
 		done; \
 	done
 
-# Every posit<32,3> pattern through decode32, then every float32 pattern
-# through FromFloat32, each sharded over GOMAXPROCS: about two and three
-# minutes on two cores. -v prints each sweep's disagreement count and wall
-# time.
+# Every posit32 pattern through decode32, then every float32 pattern
+# through FromFloat32 and encode32 in one pass, each at es = 2 and es = 3
+# (one subtest per es) and sharded over GOMAXPROCS. -v prints each sweep's
+# disagreement counts and wall time.
 test-exhaustive:
 	$(GO) test -tags exhaustive -run '^(TestDecode32Exhaustive|TestFromFloat32Exhaustive)$$' -count=1 -timeout 30m -v ./internal/posit
 

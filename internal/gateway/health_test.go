@@ -43,7 +43,10 @@ func TestProberEjectsAndRecovers(t *testing.T) {
 	g.StartProbes(ctx)
 
 	// tick advances the fake clock one probe period and waits for the
-	// prober to finish the probe (it re-arms its timer only afterwards).
+	// prober to finish the probe. The backend counts the probe before the
+	// prober reads the reply and updates the streak; the prober re-arms its
+	// timer only after that, so the second BlockUntil waits for Ready() to
+	// settle.
 	tick := func() {
 		t.Helper()
 		before := probes.Load()
@@ -55,6 +58,7 @@ func TestProberEjectsAndRecovers(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+		fc.BlockUntil(1)
 	}
 
 	b := g.backends[0]

@@ -10,7 +10,6 @@
 package lc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -69,27 +68,6 @@ func ByName(name string) (Component, error) {
 		}
 	}
 	return nil, fmt.Errorf("lc: unknown component %q", name)
-}
-
-// splitWords views the word-aligned prefix of src as little-endian uint32s
-// and returns the ragged tail separately.
-func splitWords(src []byte) ([]uint32, []byte) {
-	n := len(src) / 4
-	words := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		words[i] = binary.LittleEndian.Uint32(src[4*i:])
-	}
-	return words, src[4*n:]
-}
-
-// joinWords serializes words little-endian and appends tail.
-func joinWords(words []uint32, tail []byte) []byte {
-	out := make([]byte, 4*len(words)+len(tail))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[4*i:], w)
-	}
-	copy(out[4*len(words):], tail)
-	return out
 }
 
 // uvarintLen is len(bitio.PutUvarint(nil, v)).

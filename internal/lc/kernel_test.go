@@ -14,6 +14,17 @@ import (
 // the oracle for the kernel that replaced it, on sizeCases
 // (TestKernelsMatchOracles).
 
+// splitWords views the word-aligned prefix of src as little-endian uint32s
+// and returns the ragged tail separately.
+func splitWords(src []byte) ([]uint32, []byte) {
+	n := len(src) / 4
+	words := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		words[i] = binary.LittleEndian.Uint32(src[4*i:])
+	}
+	return words, src[4*n:]
+}
+
 // bitForwardByPlane is BIT's Forward that pulls one bit out of every word
 // per plane, 32 passes over the words.
 func bitForwardByPlane(src []byte) []byte {
@@ -32,6 +43,28 @@ func bitForwardByPlane(src []byte) []byte {
 	}
 	out = append(out, planes...)
 	return append(out, tail...)
+}
+
+// bitInverseByPlane is BIT's Inverse that puts back one bit of every word
+// per plane, 32 passes over the words. src must be a well-formed BIT
+// stream.
+func bitInverseByPlane(src []byte) []byte {
+	n, k, _ := bitio.Uvarint(src)
+	tailLen, k2, _ := bitio.Uvarint(src[k:])
+	src = src[k+k2:]
+	planeBytes := (int(n) + 7) / 8
+	words := make([]uint32, n)
+	for plane := 31; plane >= 0; plane-- {
+		row := src[(31-plane)*planeBytes:]
+		for i := range words {
+			words[i] |= uint32(row[i/8]>>(7-uint(i)%8)) & 1 << uint(plane)
+		}
+	}
+	out := make([]byte, 0, 4*len(words)+int(tailLen))
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return append(out, src[32*planeBytes:]...)
 }
 
 // byteForwardAppend is BYTE's Forward with one append per byte.
@@ -149,10 +182,10 @@ func hufForwardCodeThenEscape(src []byte) ([]byte, error) {
 	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
 }
 
-// TestKernelsMatchOracles checks BIT's 8x8 transposes, BYTE's indexed
-// planes, RZE's in-place occupancy, RARE's and RAZE's word scan and
-// one-writer Forward, and HUF's decide-then-code Forward against the
-// kernels they replaced, byte for byte.
+// TestKernelsMatchOracles checks BIT's 8x8 transposes in both directions,
+// BYTE's indexed planes, RZE's in-place occupancy, RARE's and RAZE's word
+// scan and one-writer Forward, and HUF's decide-then-code Forward against
+// the kernels they replaced, byte for byte.
 func TestKernelsMatchOracles(t *testing.T) {
 	names, cases := sizeCases(t)
 	mustForward := func(c Component, src []byte) []byte {
@@ -164,8 +197,12 @@ func TestKernelsMatchOracles(t *testing.T) {
 		return out
 	}
 	for i, src := range cases {
-		if got, want := mustForward(bitT{}, src), bitForwardByPlane(src); !bytes.Equal(got, want) {
-			t.Fatalf("BIT on %s: Forward %x, by plane %x", names[i], got, want)
+		bit := mustForward(bitT{}, src)
+		if want := bitForwardByPlane(src); !bytes.Equal(bit, want) {
+			t.Fatalf("BIT on %s: Forward %x, by plane %x", names[i], bit, want)
+		}
+		if got, err := (bitT{}).Inverse(bit, 0); err != nil || !bytes.Equal(got, bitInverseByPlane(bit)) {
+			t.Fatalf("BIT on %s: Inverse %x, %v; by plane %x", names[i], got, err, bitInverseByPlane(bit))
 		}
 		if got, want := mustForward(byteT{}, src), byteForwardAppend(src); !bytes.Equal(got, want) {
 			t.Fatalf("BYTE on %s: Forward %x, appending %x", names[i], got, want)

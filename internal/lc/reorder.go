@@ -88,16 +88,29 @@ func (bitT) Inverse(src []byte, maxOut int) ([]byte, error) {
 	if len(src) != need {
 		return nil, fmt.Errorf("lc/BIT: have %d bytes, need %d", len(src), need)
 	}
-	words := make([]uint32, n)
-	for plane := 31; plane >= 0; plane-- {
-		row := src[(31-plane)*planeBytes:]
-		sh := uint(plane)
-		for i := 0; i < n; i++ {
-			bit := uint32(row[i/8]>>(7-uint(i)%8)) & 1
-			words[i] |= bit << sh
+	// transpose8 is its own inverse: byte g of planes 8b+7 down to 8b,
+	// transposed, is byte b of group g's words.
+	out := make([]byte, 4*n, 4*n+int(tailLen))
+	full := n / 8
+	var last [32]byte // the ragged last group, cut to n words at the end
+	for b := range 4 {
+		rows := src[(24-8*b)*planeBytes : (32-8*b)*planeBytes]
+		for g := range planeBytes {
+			group := &last
+			if g < full {
+				group = (*[32]byte)(out[32*g:])
+			}
+			x := transpose8(uint64(rows[g])<<56 | uint64(rows[planeBytes+g])<<48 |
+				uint64(rows[2*planeBytes+g])<<40 | uint64(rows[3*planeBytes+g])<<32 |
+				uint64(rows[4*planeBytes+g])<<24 | uint64(rows[5*planeBytes+g])<<16 |
+				uint64(rows[6*planeBytes+g])<<8 | uint64(rows[7*planeBytes+g]))
+			for i := range 8 {
+				group[4*i+b] = byte(x >> (56 - 8*i))
+			}
 		}
 	}
-	return joinWords(words, src[32*planeBytes:]), nil
+	copy(out[32*full:], last[:])
+	return append(out, src[32*planeBytes:]...), nil
 }
 
 // byteT is the byte transpose: byte plane 0 of every word, then plane 1,

@@ -31,6 +31,23 @@ func (s ConvertStats) PrecisePct() float64 {
 	return 100 * float64(s.Exact) / float64(s.Total)
 }
 
+// add counts one value f whose roundtrip returned back.
+func (s *ConvertStats) add(f, back float32) {
+	s.Total++
+	switch {
+	case math.IsNaN(float64(f)):
+		if math.IsNaN(float64(back)) {
+			s.Exact++
+		}
+	case math.Float32bits(f) == math.Float32bits(back):
+		s.Exact++
+	default:
+		if e := math.Abs(float64(back) - float64(f)); e > s.MaxAbsE {
+			s.MaxAbsE = e
+		}
+	}
+}
+
 // FromFloat32Slice converts src into posit bit patterns under c, on
 // GOMAXPROCS workers. dst must have len(src) capacity; if nil a new slice
 // is allocated.
@@ -44,6 +61,12 @@ func (c Config) FromFloat32Slice(dst []uint32, src []float32) []uint32 {
 func (c Config) FromFloat32SliceWorkers(dst []uint32, src []float32, n int) []uint32 {
 	if dst == nil {
 		dst = make([]uint32, len(src))
+	}
+	if c.kernelOK() {
+		spread(len(src), n, func(_, lo, hi int) {
+			c.encode32Batch(dst[lo:hi], src[lo:hi])
+		})
+		return dst[:len(src)]
 	}
 	spread(len(src), n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -90,23 +113,14 @@ func (c Config) RoundtripStats(src []float32) ConvertStats {
 // <= 0 means GOMAXPROCS).
 func (c Config) RoundtripStatsWorkers(src []float32, nWorkers int) ConvertStats {
 	partial := make([]ConvertStats, pool.Workers(nWorkers))
+	kernel := c.kernelOK()
 	spread(len(src), len(partial), func(w, lo, hi int) {
 		st := &partial[w]
-		for i := lo; i < hi; i++ {
-			f := src[i]
-			back := c.ToFloat32(uint64(c.FromFloat32(f)))
-			st.Total++
-			switch {
-			case math.IsNaN(float64(f)):
-				if math.IsNaN(float64(back)) {
-					st.Exact++
-				}
-			case math.Float32bits(f) == math.Float32bits(back):
-				st.Exact++
-			default:
-				if e := math.Abs(float64(back) - float64(f)); e > st.MaxAbsE {
-					st.MaxAbsE = e
-				}
+		for _, f := range src[lo:hi] {
+			if kernel {
+				st.add(f, float32(math.Float64frombits(c.decode32(c.encode32(math.Float32bits(f))))))
+			} else {
+				st.add(f, c.ToFloat32(c.FromFloat32(f)))
 			}
 		}
 	})

@@ -5,22 +5,24 @@ import (
 	"math/bits"
 )
 
-// Branch-free batch decoding of posit32 bit patterns.
+// Branch-free batch conversion between float32 and posit32 bit patterns.
 //
-// The generic Decode path classifies specials and sizes the regime,
-// exponent, and fraction fields with data-dependent branches; the hot batch
-// converters pay those mispredictions once per value. decode32 computes the
-// identical float64 bit pattern with arithmetic masks instead: the regime
-// run length comes from one LeadingZeros64 after XOR-splatting the first
-// body bit, field widths use branch-free min, and the zero/NaR specials are
-// folded in with masked selects. Eight independent decodes are unrolled per
-// loop iteration so the out-of-order core can overlap them.
+// The generic Decode and Encode paths classify specials, size the regime,
+// exponent, and fraction fields, and round with data-dependent branches;
+// the hot batch converters pay those mispredictions once per value.
+// decode32 and encode32 compute the identical results with arithmetic
+// masks instead: a regime run length from one LeadingZeros64, field widths
+// from branch-free min, saturation by clamping the scale, and the zero/NaR
+// specials folded in with masked selects. Eight independent conversions
+// are unrolled per loop iteration so the out-of-order core can overlap
+// them.
 
-// kernelOK reports whether the batch kernel covers configuration c: 32-bit
+// kernelOK reports whether the batch kernels cover configuration c: 32-bit
 // posits whose scale range stays inside binary64's normal-number exponents
 // (|scale| <= 30<<es, which for es <= 5 is at most 960 < 1022). Every such
-// posit is exactly one normal binary64 value, so the kernel can assemble
-// the float bits directly.
+// posit is exactly one normal binary64 value, so decode32 can assemble the
+// float bits directly, and the regime, exponent and float32 fraction fit
+// one uint64 for encode32.
 func (c Config) kernelOK() bool { return c.N == 32 && c.ES <= 5 }
 
 // kernelNaN must match the bits math.NaN() returns so the kernel path is
@@ -87,5 +89,74 @@ func (c Config) decode32Batch(dst []float32, src []uint32) {
 	}
 	for ; i < len(src); i++ {
 		dst[i] = float32(math.Float64frombits(c.decode32(src[i])))
+	}
+}
+
+// encode32 converts the bits of one float32 to the posit32 pattern
+// FromFloat32 returns, with no branches. Requires c.kernelOK().
+func (c Config) encode32(u uint32) uint32 {
+	// The masks on es, sh, m and the shift counts change no value: every
+	// count is below 64 under kernelOK. They let the compiler drop the
+	// fixups Go adds for counts of 64 or more.
+	es := uint64(c.ES) & 7
+	maxScale := int64(30) << es
+	sgn := uint64(u >> 31)
+	exp := uint64(u>>23) & 0xFF
+	normal := (exp | (0 - exp)) >> 63 // 0 for zero and subnormals
+	sig := uint64(u)&0x7FFFFF | normal<<23
+	// Shift a subnormal's top set bit up to the hidden-bit position
+	// (sig|1 keeps the count finite for zero, which is masked out below).
+	sh := (uint64(bits.LeadingZeros64(sig|1)) - 40) & 63
+	scale := int64(exp+1-normal) - 127 - int64(sh)
+	frac := sig << sh & 0x7FFFFF
+	// Saturate. Above maxpos's scale, the largest in-range scale with an
+	// all-ones tail rounds up to maxpos; below minpos's, minpos's scale
+	// with a fraction of exactly 1 is minpos.
+	over := uint64((maxScale - 1 - scale) >> 63)
+	under := uint64((scale + maxScale) >> 63)
+	scale = scale&^int64(over|under) | (maxScale-1)&int64(over) | -maxScale&int64(under)
+	frac = (frac | over&0x7FFFFF) &^ under
+	// Regime: k+1 ones then a zero for k >= 0, -k zeros then a one for
+	// k < 0; either way the run is m long and its terminator is bit 63-m
+	// of the left-aligned body.
+	k := scale >> es
+	neg := uint64(k >> 63)
+	m := ((uint64(k) ^ neg) + 1) & 63
+	regime := ^(^uint64(0)>>m)&^neg | (1<<63>>m)&neg
+	// Exponent and fraction (at most 5+23 bits) follow the regime (at most
+	// 31): 59 bits, so no bit falls off the word.
+	tail := (uint64(scale)&(1<<es-1))<<23 | frac
+	x := regime | tail<<((41-es)&63)>>((m+1)&63)
+	// Round to nearest even at bit 32: the 31 body bits sit above it.
+	pat := x >> 33
+	low := x & 0xFFFFFFFF
+	pat += x >> 32 & (pat | (low|(0-low))>>63) & 1
+	p := ((pat ^ (0 - sgn)) + sgn) & 0xFFFFFFFF
+	// Masked selects for the specials: ±0 -> 0, Inf and NaN -> NaR.
+	mag := uint64(u) & 0x7FFFFFFF
+	p &= 0 - ((mag | (0 - mag)) >> 63)
+	dn := exp ^ 0xFF
+	nar := (dn|(0-dn))>>63 - 1 // all ones iff exp == 0xFF
+	return uint32(p&^nar | 0x80000000&nar)
+}
+
+// encode32Batch fills dst with the posit32 patterns of the float32 values
+// in src. Requires c.kernelOK() and len(dst) >= len(src).
+func (c Config) encode32Batch(dst []uint32, src []float32) {
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s := src[i : i+8 : i+8]
+		d := dst[i : i+8 : i+8]
+		d[0] = c.encode32(math.Float32bits(s[0]))
+		d[1] = c.encode32(math.Float32bits(s[1]))
+		d[2] = c.encode32(math.Float32bits(s[2]))
+		d[3] = c.encode32(math.Float32bits(s[3]))
+		d[4] = c.encode32(math.Float32bits(s[4]))
+		d[5] = c.encode32(math.Float32bits(s[5]))
+		d[6] = c.encode32(math.Float32bits(s[6]))
+		d[7] = c.encode32(math.Float32bits(s[7]))
+	}
+	for ; i < len(src); i++ {
+		dst[i] = c.encode32(math.Float32bits(src[i]))
 	}
 }

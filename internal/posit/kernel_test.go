@@ -14,14 +14,25 @@ func kernelConfigs() []Config {
 	return cs
 }
 
-// checkKernelValue asserts decode32 agrees bit-for-bit with the generic
-// ToFloat64 path for pattern p under c.
+// checkKernelValue asserts that both kernels agree bit-for-bit with the
+// generic paths on the 32 bits p under c: decode32 with ToFloat64 on p as
+// a posit pattern, and encode32 with FromFloat32 on p as float32 bits.
 func checkKernelValue(t *testing.T, c Config, p uint32) {
 	t.Helper()
 	got := c.decode32(p)
 	want := math.Float64bits(c.ToFloat64(uint64(p)))
 	if got != want {
 		t.Fatalf("%v decode32(%#08x) = %#016x, generic %#016x", c, p, got, want)
+	}
+	checkEncodeValue(t, c, math.Float32frombits(p))
+}
+
+// checkEncodeValue asserts encode32 agrees with FromFloat32 on f under c.
+func checkEncodeValue(t *testing.T, c Config, f float32) {
+	t.Helper()
+	u := math.Float32bits(f)
+	if got, want := c.encode32(u), uint32(c.FromFloat32(f)); got != want {
+		t.Fatalf("%v encode32(%g = %#08x) = %#08x, generic %#08x", c, f, u, got, want)
 	}
 }
 
@@ -72,8 +83,21 @@ func TestKernelEdgePatterns(t *testing.T) {
 		}
 	}
 	for _, c := range kernelConfigs() {
+		ext := Config{33, c.ES}
 		for _, p := range pats {
 			checkKernelValue(t, c, p)
+			// The float32 nearest each pattern's value and the midpoint to
+			// the next pattern, and their neighbours: ties, saturation
+			// and the regime edges in the encode direction.
+			if c.IsNaR(uint64(p)) || c.Abs(uint64(p)) == c.MaxPos() {
+				continue
+			}
+			for _, v := range []float64{c.ToFloat64(uint64(p)), ext.ToFloat64(uint64(p)<<1 | 1)} {
+				f := float32(v)
+				checkEncodeValue(t, c, f)
+				checkEncodeValue(t, c, math.Nextafter32(f, float32(math.Inf(1))))
+				checkEncodeValue(t, c, math.Nextafter32(f, float32(math.Inf(-1))))
+			}
 		}
 	}
 }
@@ -103,9 +127,10 @@ func TestKernelStratified(t *testing.T) {
 	}
 }
 
-// TestKernelBatchMatchesScalar pins the slice entry point: the unrolled
-// batch (including its tail) and the worker split must reproduce the
-// per-value conversion, and non-kernel configs must keep the generic path.
+// TestKernelBatchMatchesScalar pins the three batch entry points: the
+// unrolled batches (including their tails) and the worker split must
+// reproduce the per-value conversions, and non-kernel configs must keep
+// the generic path.
 func TestKernelBatchMatchesScalar(t *testing.T) {
 	src := make([]uint32, 1003) // not a multiple of 8: exercises the tail
 	s := uint64(12345)
@@ -114,19 +139,35 @@ func TestKernelBatchMatchesScalar(t *testing.T) {
 		src[i] = uint32(s >> 32)
 	}
 	src[0], src[1], src[2] = 0, 0x80000000, 0x7FFFFFFF
+	floats := make([]float32, len(src)) // the same bits as float32 values
+	for i, u := range src {
+		floats[i] = math.Float32frombits(u)
+	}
 	for _, c := range []Config{Posit32, Posit32e3, {32, 0}, {32, 6}, {16, 2}} {
-		if c.N != 32 {
-			// Map the patterns into range for narrow configs.
-			continue
+		var wantStats ConvertStats
+		for _, f := range floats {
+			wantStats.add(f, c.ToFloat32(c.FromFloat32(f)))
 		}
 		for _, workers := range []int{1, 3} {
-			got := c.ToFloat32SliceWorkers(nil, src, workers)
-			for i, p := range src {
-				want := c.ToFloat32(uint64(p))
-				if math.Float32bits(got[i]) != math.Float32bits(want) {
-					t.Fatalf("%v workers=%d: slice[%d] = %x, want %x (pattern %#08x)",
-						c, workers, i, math.Float32bits(got[i]), math.Float32bits(want), p)
+			if c.N == 32 { // the patterns are out of range for narrow configs
+				got := c.ToFloat32SliceWorkers(nil, src, workers)
+				for i, p := range src {
+					want := c.ToFloat32(uint64(p))
+					if math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("%v workers=%d: slice[%d] = %x, want %x (pattern %#08x)",
+							c, workers, i, math.Float32bits(got[i]), math.Float32bits(want), p)
+					}
 				}
+			}
+			words := c.FromFloat32SliceWorkers(nil, floats, workers)
+			for i, f := range floats {
+				if want := uint32(c.FromFloat32(f)); words[i] != want {
+					t.Fatalf("%v workers=%d: words[%d] = %#x, want %#x (float32 %#08x)",
+						c, workers, i, words[i], want, src[i])
+				}
+			}
+			if got := c.RoundtripStatsWorkers(floats, workers); got != wantStats {
+				t.Fatalf("%v workers=%d: stats %+v, want %+v", c, workers, got, wantStats)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Package posit implements the posit number format (Posit Standard 2022,
-// generalized to parametric es) for widths up to 64 bits.
+// generalized to parametric es) for widths up to 32 bits.
 //
 // A posit<n,es> has four fields: a sign bit, a variable-length regime (a run
 // of identical bits terminated by the opposite bit), up to es exponent bits,
@@ -23,7 +23,7 @@ import (
 // Config identifies a posit format: N total bits, ES maximum exponent bits.
 // The paper's subject format is Config{32, 3}; the 2022 standard fixes ES=2.
 type Config struct {
-	N  uint // total bits, 2..64
+	N  uint // total bits, 3..32
 	ES uint // maximum exponent field width, 0..6
 }
 
@@ -32,14 +32,13 @@ var (
 	Posit8    = Config{8, 2}
 	Posit16   = Config{16, 2}
 	Posit32   = Config{32, 2}
-	Posit64   = Config{64, 2}
 	Posit32e3 = Config{32, 3} // the configuration studied in the paper
 )
 
 // Validate reports whether the configuration is supported.
 func (c Config) Validate() error {
-	if c.N < 3 || c.N > 64 {
-		return fmt.Errorf("posit: n=%d out of range [3,64]", c.N)
+	if c.N < 3 || c.N > 32 {
+		return fmt.Errorf("posit: n=%d out of range [3,32]", c.N)
 	}
 	if c.ES > 6 {
 		return fmt.Errorf("posit: es=%d out of range [0,6]", c.ES)
@@ -51,12 +50,7 @@ func (c Config) Validate() error {
 func (c Config) String() string { return fmt.Sprintf("posit<%d,%d>", c.N, c.ES) }
 
 // mask returns the n-bit mask for this config.
-func (c Config) mask() uint64 {
-	if c.N == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << c.N) - 1
-}
+func (c Config) mask() uint64 { return (uint64(1) << c.N) - 1 }
 
 // NaR returns the Not-a-Real bit pattern (sign bit set, all others clear).
 func (c Config) NaR() uint64 { return uint64(1) << (c.N - 1) }
@@ -197,7 +191,10 @@ func (c Config) Decode(p uint64) (Parts, Special) {
 }
 
 // Encode rounds a sign/scale/fraction triple to the nearest posit
-// (round-to-nearest, ties to even bit pattern, saturating).
+// (round-to-nearest, ties to even bit pattern, saturating). It works in one
+// uint64, which needs c.N <= 32 (Validate's cap): the regime then takes at
+// most 31 bits and the exponent at most 6, so only fraction bits can fall
+// below bit 0.
 func (c Config) Encode(pt Parts) uint64 {
 	if pt.Frac == 0 {
 		return 0
@@ -224,33 +221,28 @@ func (c Config) Encode(pt Parts) uint64 {
 		regime = 1 // -k zeros then a one
 	}
 
-	// Assemble the unbounded magnitude pattern (after the sign bit) as a
-	// 128-bit integer: regime | exponent | fraction.
+	// Assemble the unbounded magnitude pattern (after the sign bit),
+	// regime | exponent | fraction, in one word. Fraction bits that would
+	// fall below bit 0 fold into sticky, far below the rounding position.
 	fb := pt.FracBits
-	fracField := pt.Frac & ((uint64(1) << fb) - 1) // strip hidden bit
-	// Keep the assembled pattern within 128 bits; dropped fraction bits
-	// fold into sticky. This only triggers for extreme regimes on wide
-	// posits, far below the rounding position.
+	frac := pt.Frac & ((uint64(1) << fb) - 1) // strip hidden bit
 	var sticky bool
-	if over := int(regimeLen+es+fb) - 127; over > 0 {
-		sticky = fracField&((1<<uint(over))-1) != 0
-		fracField >>= uint(over)
+	if over := int(regimeLen+es+fb) - 64; over > 0 {
+		sticky = frac&((1<<uint(over))-1) != 0
+		frac >>= uint(over)
 		fb -= uint(over)
 	}
-	hi, lo := shl128(0, regime, es)
-	hi, lo = or128(hi, lo, 0, e)
-	hi, lo = shl128(hi, lo, fb)
-	hi, lo = or128(hi, lo, 0, fracField)
+	x := (regime<<es|e)<<fb | frac
 	L := regimeLen + es + fb
 
 	var pat uint64
 	if L <= n-1 {
-		pat = lo << (n - 1 - L) // the whole pattern fits: exact
+		pat = x << (n - 1 - L) // the whole pattern fits: exact
 	} else {
 		cut := L - (n - 1)
-		pat = extract128(hi, lo, cut, n-1)
-		guard := extractBit128(hi, lo, cut-1)
-		below := sticky || lowNonzero128(hi, lo, cut-1)
+		pat = x >> cut
+		guard := x >> (cut - 1) & 1
+		below := sticky || x&((1<<(cut-1))-1) != 0
 		if guard == 1 && (below || pat&1 == 1) {
 			pat++
 		}
@@ -274,76 +266,6 @@ func floorDiv(a, b int) int {
 		q--
 	}
 	return q
-}
-
-// 128-bit helpers (hi holds bits 64..127).
-
-func shl128(hi, lo uint64, s uint) (uint64, uint64) {
-	switch {
-	case s == 0:
-		return hi, lo
-	case s < 64:
-		return hi<<s | lo>>(64-s), lo << s
-	case s < 128:
-		return lo << (s - 64), 0
-	default:
-		return 0, 0
-	}
-}
-
-func or128(hi, lo, hi2, lo2 uint64) (uint64, uint64) {
-	return hi | hi2, lo | lo2
-}
-
-// extract128 returns width bits of the 128-bit value starting at bit `from`
-// (LSB-indexed), width <= 64.
-func extract128(hi, lo uint64, from, width uint) uint64 {
-	var v uint64
-	switch {
-	case from >= 64:
-		v = hi >> (from - 64)
-	case from == 0:
-		v = lo
-		if width < 64 {
-			v &= (1 << width) - 1
-		}
-		return v
-	default:
-		v = lo>>from | hi<<(64-from)
-	}
-	if width < 64 {
-		v &= (1 << width) - 1
-	}
-	return v
-}
-
-func extractBit128(hi, lo uint64, pos uint) uint64 {
-	if pos >= 64 {
-		return hi >> (pos - 64) & 1
-	}
-	return lo >> pos & 1
-}
-
-// lowNonzero128 reports whether any of the low `cnt` bits are nonzero.
-func lowNonzero128(hi, lo uint64, cnt uint) bool {
-	switch {
-	case cnt == 0:
-		return false
-	case cnt <= 64:
-		if cnt == 64 {
-			return lo != 0
-		}
-		return lo&((1<<cnt)-1) != 0
-	default:
-		if lo != 0 {
-			return true
-		}
-		c := cnt - 64
-		if c >= 64 {
-			return hi != 0
-		}
-		return hi&((1<<c)-1) != 0
-	}
 }
 
 // FromFloat64 converts an IEEE-754 binary64 value to the nearest posit.
@@ -384,9 +306,11 @@ func (c Config) FromFloat32(f float32) uint64 {
 	return c.FromFloat64(float64(f))
 }
 
-// ToFloat64 converts a posit to float64. For n <= 32 the conversion is exact
-// (every posit32 value is representable in binary64); for wider posits the
-// result is correctly rounded. NaR maps to NaN.
+// ToFloat64 converts a posit to float64. NaR maps to NaN. The conversion is
+// exact whenever the posit's scale lies in binary64's normal range, which
+// holds at every es <= 5 ((n-2)<<es <= 960). At es = 6 posit<32,6> spans
+// 2^±1920, so its largest values overflow to ±Inf and its smallest round
+// into binary64's subnormals or to zero.
 func (c Config) ToFloat64(p uint64) float64 {
 	pt, sp := c.Decode(p)
 	switch sp {

@@ -9,12 +9,12 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	for _, c := range []Config{Posit8, Posit16, Posit32, Posit64, Posit32e3} {
+	for _, c := range []Config{Posit8, Posit16, Posit32, Posit32e3} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%v: %v", c, err)
 		}
 	}
-	for _, c := range []Config{{2, 2}, {65, 2}, {32, 7}} {
+	for _, c := range []Config{{2, 2}, {33, 2}, {32, 7}} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%v: want error", c)
 		}
@@ -55,7 +55,7 @@ func TestKnownPatternsPosit32(t *testing.T) {
 }
 
 func TestSpecials(t *testing.T) {
-	for _, c := range []Config{Posit8, Posit16, Posit32, Posit32e3, Posit64} {
+	for _, c := range []Config{Posit8, Posit16, Posit32, Posit32e3} {
 		if !c.IsNaR(c.FromFloat64(math.NaN())) {
 			t.Errorf("%v: NaN must convert to NaR", c)
 		}
@@ -411,7 +411,7 @@ func TestFloat32FarLoss(t *testing.T) {
 }
 
 func TestDecodeEncodeQuick(t *testing.T) {
-	for _, c := range []Config{Posit32, Posit32e3, {24, 1}, {64, 2}} {
+	for _, c := range []Config{Posit32, Posit32e3, {24, 1}} {
 		f := func(p uint64) bool {
 			p &= c.mask()
 			pt, sp := c.Decode(p)
@@ -424,6 +424,59 @@ func TestDecodeEncodeQuick(t *testing.T) {
 			t.Errorf("%v: %v", c, err)
 		}
 	}
+}
+
+// TestEncodeRegimeEdges runs Encode on every regime run length, of ones
+// and of zeros, with the bits after the regime all zero and all one, at
+// n = 8, 16, 24 and 32 and every es. Each pattern p must come back from its
+// own Decode, the posit<n+1,es> midpoint p<<1|1 must round to the even one
+// of p and p+1, and the midpoint plus one unit of a 52-bit fraction must
+// round up to p+1. The fractions are widened to 52 bits, as FromFloat64
+// passes them, so on long regimes fraction bits fall below bit 0 of
+// Encode's word, and only its sticky fold keeps that last unit.
+func TestEncodeRegimeEdges(t *testing.T) {
+	widen := func(pt Parts) Parts {
+		pt.Frac <<= 52 - pt.FracBits
+		pt.FracBits = 52
+		return pt
+	}
+	for _, n := range []uint{8, 16, 24, 32} {
+		for es := uint(0); es <= 6; es++ {
+			c, ext := Config{n, es}, Config{n + 1, es}
+			for _, p := range regimeEdges(n) {
+				pt, _ := c.Decode(p)
+				if got := c.Encode(widen(pt)); got != p {
+					t.Fatalf("%v: Encode(Decode(%#x)) = %#x", c, p, got)
+				}
+				if p == c.MaxPos() {
+					continue
+				}
+				mid, _ := ext.Decode(p<<1 | 1)
+				mid = widen(mid)
+				if got, even := c.Encode(mid), p+p&1; got != even {
+					t.Fatalf("%v: tie between %#x and %#x -> %#x, want %#x", c, p, p+1, got, even)
+				}
+				mid.Frac++
+				if got := c.Encode(mid); got != p+1 {
+					t.Fatalf("%v: above tie %#x -> %#x, want %#x", c, p, got, p+1)
+				}
+			}
+		}
+	}
+}
+
+// regimeEdges lists the positive n-bit patterns whose regime is a run of m
+// ones or of m zeros, for every m, with the bits after the regime's
+// terminator all zero and all one.
+func regimeEdges(n uint) []uint64 {
+	ps := []uint64{1<<(n-1) - 1} // n-1 ones: maxpos, with no terminator
+	for m := uint(1); m <= n-2; m++ {
+		rest := n - 2 - m
+		for _, low := range []uint64{0, 1<<rest - 1} {
+			ps = append(ps, (1<<m-1)<<(rest+1)|low, 1<<rest|low)
+		}
+	}
+	return ps
 }
 
 func TestPosit32Float64Roundtrip(t *testing.T) {

@@ -254,11 +254,7 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		badParam(w, "es", err)
 		return
 	}
-	if n < 2 || n > 32 || es < 0 || es > 8 {
-		httpshell.WriteError(w, http.StatusBadRequest, "bad_param",
-			fmt.Sprintf("posit<%d,%d> outside the supported range (2 <= n <= 32, 0 <= es <= 8)", n, es))
-		return
-	}
+	// Negative values wrap to huge uints, which Validate refuses too.
 	cfg := posit.Config{N: uint(n), ES: uint(es)}
 	if err := cfg.Validate(); err != nil {
 		httpshell.WriteError(w, http.StatusBadRequest, "bad_param", err.Error())

@@ -348,7 +348,6 @@ func TestConvertRejects(t *testing.T) {
 		kind            string
 	}{
 		{"BadTarget", "/v1/convert?to=doubles", "\x00\x00\x00\x00", http.StatusBadRequest, "bad_param"},
-		{"BadConfig", "/v1/convert?n=64", "\x00\x00\x00\x00", http.StatusBadRequest, "bad_param"},
 		{"Misaligned", "/v1/convert", "abc", http.StatusBadRequest, "misaligned_input"},
 		{"Empty", "/v1/convert", "", http.StatusBadRequest, "empty_input"},
 	}
@@ -358,6 +357,20 @@ func TestConvertRejects(t *testing.T) {
 			wantAPIError(t, resp, body, tc.status, tc.kind)
 		})
 	}
+	// Config.Validate is the only range check: every refusal names the
+	// range it enforces.
+	t.Run("BadConfig", func(t *testing.T) {
+		for _, tc := range []struct{ query, rng string }{
+			{"n=2", "[3,32]"}, {"n=33", "[3,32]"}, {"n=64", "[3,32]"},
+			{"es=7", "[0,6]"}, {"es=-1", "[0,6]"},
+		} {
+			resp, body := post(t, ts.URL+"/v1/convert?"+tc.query, "\x00\x00\x00\x00")
+			wantAPIError(t, resp, body, http.StatusBadRequest, "bad_param")
+			if !strings.Contains(string(body), tc.rng) {
+				t.Errorf("%s: error %s does not name %s", tc.query, bytes.TrimSpace(body), tc.rng)
+			}
+		}
+	})
 }
 
 func TestAnalyze(t *testing.T) {
